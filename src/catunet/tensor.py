@@ -8,6 +8,10 @@ the output gradient back to its parents; `backward()` walks the recorded
 graph in reverse topological order and accumulates into `.grad`. Images are
 channels-first (N, C, H, W). Values are float32 by default; float arrays
 keep their dtype so checks can run the same code in float64.
+
+Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
+zero-padded, channel-major copy of its input; the repack stays inside
+`conv2d`, so every op takes and returns NCHW.
 """
 
 from contextlib import contextmanager
@@ -15,7 +19,6 @@ from contextvars import ContextVar
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -91,8 +94,10 @@ def _result(data: np.ndarray, parents: Tuple[Tensor, ...], backward_fn) -> Tenso
 
 def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False)
+        # a copy: callers may pass a view of their own upstream gradient
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g.astype(t.data.dtype, copy=False)
 
 
 def topo_order(root: Tensor):
@@ -145,6 +150,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     """2D cross-correlation over (N, Cin, H, W) with zero padding.
 
     Output spatial size is floor((H + 2*padding - kh) / stride) + 1.
+
+    Computed as one GEMM per kernel tap over a shifted view of the input
+    (the kn2row / shifted-GEMM family; Vasudevan, Anderson & Gregg 2017,
+    arXiv 1704.04428) instead of an im2col patch matrix. The input is copied
+    once into a zero-padded channel-major grid (Cin, N, Hp, Wp) and
+    flattened to xf of shape (Cin, M), M = N*Hp*Wp. Tap (ki, kj) is the
+    fixed column shift d = ki*Wp + kj, so
+
+        yf[:, :span] += w[:, :, ki, kj] @ xf[:, d:d + span],  span = M - d_max
+
+    with every operand a strided view BLAS takes as is. Column c of yf is
+    the output anchored at padded position c; the anchors of the strided
+    output grid are the valid ones, and every other column (a window
+    straddling a row or image edge) is junk that is cropped away. Stride > 1
+    computes at stride 1 and subsamples. The backward pass runs the same
+    taps on the gradient scattered into a zeroed grid, so the junk columns
+    contribute nothing: dW per tap is gf @ xf_shift.T, and dX accumulates
+    w_tap.T @ gf into the shifted columns, then drops the padding.
     """
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
@@ -163,32 +186,46 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             f"conv2d: kernel {kh}x{kw} exceeds padded input {h + 2 * padding}x{wd + 2 * padding}"
         )
 
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    # (N*Ho*Wo, Cin*kh*kw) patch matrix; matmul keeps the hot path in BLAS
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
-    wmat = w.data.reshape(cout, -1)
-    out = (cols @ wmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2) + b.data[None, :, None, None]
+    p = padding
+    hp, wp = h + 2 * p, wd + 2 * p
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    m = n * hp * wp
+    span = m - (kh - 1) * wp - (kw - 1)
+    taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+    valid = (slice(None), slice(None), slice(0, stride * ho, stride), slice(0, stride * wo, stride))
+
+    xf = np.zeros((cin, n, hp, wp), dtype=x.data.dtype)
+    xf[:, :, p:p + h, p:p + wd] = x.data.transpose(1, 0, 2, 3)
+    xf = xf.reshape(cin, m)
+    yf = np.empty((cout, m), dtype=np.result_type(x.data, w.data))
+    tmp = np.empty((cout, span), dtype=yf.dtype)
+    # with one input channel a tap is an outer product, which numpy's matmul
+    # computes several times slower than a broadcast multiply
+    mul = np.multiply if cin == 1 else np.matmul
+    mul(w.data[:, :, 0, 0], xf[:, :span], out=yf[:, :span])
+    for ki, kj, d in taps[1:]:
+        yf[:, :span] += mul(w.data[:, :, ki, kj], xf[:, d:d + span], out=tmp)
+    out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
 
     def bwd(g: np.ndarray):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        if w.requires_grad:
-            _accum(w, (gmat.T @ cols).reshape(w.shape))
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
+        if not (w.requires_grad or x.requires_grad):
+            return
+        gy = np.zeros((cout, n, hp, wp), dtype=g.dtype)
+        gy[valid] = g.transpose(1, 0, 2, 3)
+        gf = gy.reshape(cout, m)[:, :span]
+        if w.requires_grad:
+            dw = np.empty(w.shape, dtype=np.result_type(g, xf))
+            for ki, kj, d in taps:
+                dw[:, :, ki, kj] = gf @ xf[:, d:d + span].T
+            _accum(w, dw)
         if x.requires_grad:
-            dcols = (gmat @ wmat).reshape(n, ho, wo, cin, kh, kw)
-            dxp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
-                        dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-            if padding:
-                dxp = dxp[:, :, padding:-padding, padding:-padding]
-            _accum(x, dxp)
+            dxf = np.zeros((cin, m), dtype=np.result_type(g, w.data))
+            tmp = np.empty((cin, span), dtype=dxf.dtype)
+            for ki, kj, d in taps:
+                dxf[:, d:d + span] += np.matmul(w.data[:, :, ki, kj].T, gf, out=tmp)
+            _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
 
     return _result(out, (x, w, b), bwd)
 
@@ -199,29 +236,32 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tuple[Tensor, np.nda
 
     Returns the pooled tensor and the argmax indices (flat position within
     each window, ties resolved to the first element in row-major order);
-    the indices route the gradient to the max positions.
+    the indices route the gradient to the max positions. Both passes loop
+    over the size*size window offsets, each a strided view of the input.
     """
     if size < 1 or stride < 1:
         raise ValueError(f"maxpool2d: size and stride must be >= 1, got size={size} stride={stride}")
     n, c, h, w = x.shape
     if h < size or w < size:
         raise ShapeError(f"maxpool2d: window {size}x{size} exceeds input {h}x{w}")
-    win = sliding_window_view(x.data, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    flat = win.reshape(n, c, ho, wo, size * size)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    ho, wo = (h - size) // stride + 1, (w - size) // stride + 1
+    offsets = [(slice(None), slice(None), slice(a, a + stride * (ho - 1) + 1, stride),
+                slice(e, e + stride * (wo - 1) + 1, stride))
+               for a in range(size) for e in range(size)]
+    out = x.data[offsets[0]].copy()
+    idx = np.zeros(out.shape, dtype=np.int64)
+    for k, view in enumerate(offsets[1:], start=1):
+        v = x.data[view]
+        # strict > keeps the first maximum; np.maximum still carries a NaN
+        np.copyto(idx, k, where=v > out)
+        np.maximum(out, v, out=out)
 
     def bwd(g: np.ndarray):
         if not x.requires_grad:
             return
         gx = np.zeros_like(x.data)
-        ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-        rows = ii[None, None] * stride + idx // size
-        cols = jj[None, None] * stride + idx % size
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (nn, cc, rows, cols), g)
+        for k, view in enumerate(offsets):
+            gx[view] += np.where(idx == k, g, 0)
         _accum(x, gx)
 
     return _result(out, (x,), bwd), idx
@@ -231,12 +271,12 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
     """Replicate each pixel into a factor x factor block."""
     if factor < 1:
         raise ValueError(f"upsample_nearest: factor must be >= 1, got {factor}")
-    n, c, h, w = x.shape
     out = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
 
     def bwd(g: np.ndarray):
         if x.requires_grad:
-            _accum(x, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
+            _accum(x, sum(g[:, :, a::factor, e::factor]
+                          for a in range(factor) for e in range(factor)))
 
     return _result(out, (x,), bwd)
 

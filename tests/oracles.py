@@ -29,6 +29,33 @@ def conv2d_loops(x, w, b, stride=1, padding=0):
     return out
 
 
+def conv2d_backward_loops(x, w, grad_out, stride=1, padding=0):
+    """Gradients of conv2d_loops for an upstream gradient: each output
+    element sends grad * weight back to the input pixel it read and
+    grad * input to the weight that read it. Returns (dX, dW, db)."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    _, _, ho, wo = grad_out.shape
+    dx = np.zeros(x.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = np.zeros(cout, dtype=np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    gv = float(grad_out[ni, co, i, j])
+                    db[co] += gv
+                    for ci in range(cin):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                yi = i * stride + ki - padding
+                                xj = j * stride + kj - padding
+                                if 0 <= yi < h and 0 <= xj < wd:
+                                    dx[ni, ci, yi, xj] += gv * float(w[co, ci, ki, kj])
+                                    dw[co, ci, ki, kj] += gv * float(x[ni, ci, yi, xj])
+    return dx, dw, db
+
+
 def maxpool2d_loops(x, size=2, stride=2):
     """Window max with first-occurrence (row-major) tie handling."""
     n, c, h, w = x.shape
@@ -51,6 +78,21 @@ def maxpool2d_loops(x, size=2, stride=2):
                     out[ni, ci, i, j] = best
                     idx[ni, ci, i, j] = best_k
     return out, idx
+
+
+def maxpool2d_backward_loops(x, grad_out, size=2, stride=2):
+    """Gradient of maxpool2d_loops: each window's upstream gradient goes to
+    its first maximum; overlapping windows add up at a shared pixel."""
+    _, idx = maxpool2d_loops(x, size, stride)
+    n, c, ho, wo = idx.shape
+    dx = np.zeros(x.shape, dtype=np.float64)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    k = int(idx[ni, ci, i, j])
+                    dx[ni, ci, i * stride + k // size, j * stride + k % size] += float(grad_out[ni, ci, i, j])
+    return dx
 
 
 def upsample_nearest_loops(x, factor=2):

@@ -1,4 +1,5 @@
-"""Forward semantics of the primitive ops against brute-force oracles."""
+"""Forward and backward semantics of the primitive ops against brute-force
+oracles."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,11 +8,19 @@ import pytest
 from catunet import tensor as T
 from catunet.rng import Rng
 
-from oracles import conv2d_loops, maxpool2d_loops, mse_loops, upsample_nearest_loops
+from oracles import (conv2d_backward_loops, conv2d_loops, maxpool2d_backward_loops,
+                     maxpool2d_loops, mse_loops, upsample_nearest_loops)
 
 
 def tensor(a, **kw):
     return T.Tensor(np.asarray(a, dtype=np.float32), **kw)
+
+
+def drive_backward(out, g):
+    """Backpropagate the upstream gradient `g` into `out` through an MSE
+    whose target makes dL/d(out) equal g."""
+    target = T.Tensor(out.data - g * (out.data.size / 2.0))
+    T.backward(T.mse(out, target))
 
 
 class TestConv2d:
@@ -85,6 +94,46 @@ class TestConv2d:
             T.conv2d(tensor(np.zeros((1, 1, 2, 2))), tensor(np.zeros((1, 1, 5, 5))), tensor([0.0]))
 
 
+class TestConv2dBackward:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_loop_oracle(self, stride, padding, k):
+        gen = np.random.default_rng(100 * stride + 10 * padding + k)
+        h, w = 7, 5
+        x = T.Tensor(gen.uniform(-1, 1, (3, 2, h, w)), requires_grad=True)
+        wt = T.Tensor(gen.uniform(-1, 1, (3, 2, k, k)), requires_grad=True)
+        b = T.Tensor(gen.uniform(-1, 1, 3), requires_grad=True)
+        out = T.conv2d(x, wt, b, stride, padding)
+        g = gen.uniform(-1, 1, out.shape)
+        drive_backward(out, g)
+        dx, dw, db = conv2d_backward_loops(x.data, wt.data, g, stride, padding)
+        npt.assert_allclose(x.grad, dx, atol=1e-12)
+        npt.assert_allclose(wt.grad, dw, atol=1e-12)
+        npt.assert_allclose(b.grad, db, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1)])
+    def test_batch_images_are_independent(self, stride, padding):
+        # a window straddling a row or image edge must not reach any image's
+        # output or input gradient, so each image matches its solo run
+        gen = np.random.default_rng(31 + stride + padding)
+        xs = gen.uniform(-1, 1, (3, 2, 6, 9)) * np.array([1.0, 100.0, -10.0])[:, None, None, None]
+        wt = gen.uniform(-1, 1, (4, 2, 3, 3))
+        b = gen.uniform(-1, 1, 4)
+
+        def run(x):
+            xt = T.Tensor(x, requires_grad=True)
+            out = T.conv2d(xt, T.Tensor(wt), T.Tensor(b), stride, padding)
+            drive_backward(out, np.ones(out.shape))
+            return out.data, xt.grad
+
+        out, dx = run(xs)
+        for i in range(len(xs)):
+            solo_out, solo_dx = run(xs[i:i + 1])
+            npt.assert_allclose(out[i:i + 1], solo_out, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(dx[i:i + 1], solo_dx, rtol=1e-12, atol=1e-12)
+
+
 class TestMaxPool2d:
     def test_single_window(self):
         out, _ = T.maxpool2d(tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -118,6 +167,17 @@ class TestMaxPool2d:
         T.backward(T.mse(out, tensor([[[[0.0]]]])))
         assert x.grad[0, 0, 0, 0] != 0
         assert not x.grad.reshape(-1)[1:].any()
+
+    def test_overlapping_windows_with_ties_backward_matches_oracle(self):
+        gen = np.random.default_rng(9)
+        for size, stride in [(2, 1), (3, 2), (3, 1)]:
+            # few distinct values, so most windows hold a tie
+            x = T.Tensor(gen.integers(0, 3, (2, 2, 7, 6)).astype(np.float64), requires_grad=True)
+            out, idx = T.maxpool2d(x, size, stride)
+            g = gen.uniform(-1, 1, out.shape)
+            drive_backward(out, g)
+            npt.assert_array_equal(idx, maxpool2d_loops(x.data, size, stride)[1])
+            npt.assert_allclose(x.grad, maxpool2d_backward_loops(x.data, g, size, stride), atol=1e-12)
 
     def test_floor_semantics_on_odd_size(self):
         out, _ = T.maxpool2d(tensor(np.zeros((1, 1, 5, 7))), 2, 2)
