@@ -12,8 +12,8 @@ the last decoder features to the output, which has the input's shape.
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,7 +105,6 @@ def parameter_count(config: CatUNetConfig) -> int:
 class CatUNetModel:
     config: CatUNetConfig
     parameters: Dict[str, T.Tensor]
-    wiring: List[dict] = field(default_factory=list)
 
     def zero_grad(self):
         for p in self.parameters.values():
@@ -166,59 +165,44 @@ class CatUNetModel:
         return out
 
 
-def _he_conv(gen: np.random.Generator, cout: int, cin: int, k: int):
-    """Fan-in scaled normal weights, zero bias."""
-    fan_in = cin * k * k
-    std = np.sqrt(2.0 / fan_in)
-    w = (gen.standard_normal((cout, cin, k, k)) * std).astype(np.float32)
-    b = np.zeros(cout, dtype=np.float32)
-    return w, b
-
-
-def build(config: CatUNetConfig, rng: Rng) -> CatUNetModel:
-    """Initialize parameters and derive the block wiring from the config."""
-    config.validate()
-    gen = rng.stream("init")
+def _parameter_shapes(config: CatUNetConfig) -> List[Tuple[str, Tuple[int, ...]]]:
+    """(name, shape) of every parameter in the order `build` creates them:
+    each conv's weight (cout, cin, k, k), then its bias (cout,)."""
     k = config.kernel_size
-    params: Dict[str, T.Tensor] = {}
-
-    def add_conv(name: str, cout: int, cin: int, ksz: int):
-        w, b = _he_conv(gen, cout, cin, ksz)
-        params[f"{name}_w"] = T.Tensor(w, requires_grad=True, name=f"{name}_w")
-        params[f"{name}_b"] = T.Tensor(b, requires_grad=True, name=f"{name}_b")
-
-    wiring: List[dict] = []
+    convs = []
     enc = config.encoder_channels()
-    size = config.input_size
     prev = config.input_channels
     for i, c in enumerate(enc):
-        add_conv(f"enc{i}_conv1", c, prev, k)
-        add_conv(f"enc{i}_conv2", c, c, k)
-        wiring.append({"block": f"enc{i}", "in_channels": prev, "out_channels": c,
-                       "skip_size": size, "pooled_size": size // 2})
+        convs += [(f"enc{i}_conv1", c, prev, k), (f"enc{i}_conv2", c, c, k)]
         prev = c
-        size //= 2
     cb = config.bottleneck_channels()
-    add_conv("bottleneck", cb, prev, k)
-    wiring.append({"block": "bottleneck", "in_channels": prev, "out_channels": cb, "size": size})
+    convs.append(("bottleneck", cb, prev, k))
     up = cb
     for kk in range(1, config.depth + 1):
         partner = enc[config.depth - kk]
-        size *= 2
-        partner_size = config.input_size // 2 ** (config.depth - kk)
-        # concatenation precondition: upsampled decoder map and encoder
-        # partner must sit at the same resolution
-        if size != partner_size:
-            raise ValueError(
-                f"decoder level {kk}: upsampled size {size} != partner size {partner_size}")
-        wiring.append({"block": f"dec{kk}", "upsampled_channels": up, "partner_channels": partner,
-                       "concat_channels": up + partner, "out_channels": partner, "size": size})
-        add_conv(f"dec{kk}", partner, up + partner, k)
+        convs.append((f"dec{kk}", partner, up + partner, k))
         up = partner
-    add_conv("out", config.output_channels, enc[0], 1)
-    wiring.append({"block": "out", "in_channels": enc[0],
-                   "out_channels": config.output_channels, "size": size})
-    return CatUNetModel(config=config, parameters=params, wiring=wiring)
+    convs.append(("out", config.output_channels, enc[0], 1))
+    shapes = []
+    for name, cout, cin, ksz in convs:
+        shapes += [(f"{name}_w", (cout, cin, ksz, ksz)), (f"{name}_b", (cout,))]
+    return shapes
+
+
+def build(config: CatUNetConfig, rng: Rng) -> CatUNetModel:
+    """He-initialize the parameters the config implies: fan-in scaled
+    normal weights, zero biases."""
+    config.validate()
+    gen = rng.stream("init")
+    params: Dict[str, T.Tensor] = {}
+    for name, shape in _parameter_shapes(config):
+        if len(shape) == 4:
+            std = np.sqrt(2.0 / (shape[1] * shape[2] * shape[3]))
+            data = (gen.standard_normal(shape) * std).astype(np.float32)
+        else:
+            data = np.zeros(shape, dtype=np.float32)
+        params[name] = T.Tensor(data, requires_grad=True, name=name)
+    return CatUNetModel(config=config, parameters=params)
 
 
 def feature_norm(model: CatUNetModel, batch: T.Tensor) -> List[float]:
@@ -271,10 +255,11 @@ def load_checkpoint(path: str) -> CatUNetModel:
     except (ValueError, TypeError) as e:
         raise CheckpointError(f"bad config block: {e}") from e
     (count,) = struct.unpack("<I", take(4, "parameter count"))
-    model = build(config, Rng(0))
-    if count != len(model.parameters):
+    shapes = dict(_parameter_shapes(config))
+    if count != len(shapes):
         raise CheckpointError(
-            f"checkpoint holds {count} parameters, config implies {len(model.parameters)}")
+            f"checkpoint holds {count} parameters, config implies {len(shapes)}")
+    values: Dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         name = take(name_len, "name").decode("utf-8")
@@ -282,13 +267,15 @@ def load_checkpoint(path: str) -> CatUNetModel:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         n_vals = int(np.prod(dims)) if rank else 1
         vals = np.frombuffer(take(4 * n_vals, f"values of {name}"), dtype="<f4").reshape(dims)
-        if name not in model.parameters:
+        if name not in shapes:
             raise CheckpointError(f"unexpected parameter {name!r} in checkpoint")
-        if model.parameters[name].data.shape != vals.shape:
+        if name in values:
+            raise CheckpointError(f"parameter {name!r} appears twice in checkpoint")
+        if shapes[name] != vals.shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {vals.shape}, config implies "
-                f"{model.parameters[name].data.shape}")
-        model.parameters[name].data = vals.astype(np.float32)
+                f"parameter {name!r} has shape {vals.shape}, config implies {shapes[name]}")
+        values[name] = vals.astype(np.float32)
     if view.read(1):
         raise CheckpointError("trailing bytes after last parameter")
-    return model
+    params = {name: T.Tensor(values[name], requires_grad=True, name=name) for name in shapes}
+    return CatUNetModel(config=config, parameters=params)

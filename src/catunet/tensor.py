@@ -11,7 +11,12 @@ keep their dtype so checks can run the same code in float64.
 
 Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
 zero-padded, channel-major copy of its input; the repack stays inside
-`conv2d`, so every op takes and returns NCHW.
+`conv2d`, so every op takes and returns NCHW. Each tap loop walks the
+flattened columns in tiles of `TILE` columns, because OpenBLAS runs this
+model's thin GEMMs (a few rows, thousands of columns) several times
+slower once their operands outgrow the cache; the input gradient is
+gathered tile by tile from a zero-led gradient grid, so it runs the same
+loop as the forward.
 """
 
 from contextlib import contextmanager
@@ -19,6 +24,14 @@ from contextvars import ContextVar
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+
+# Columns per GEMM in conv2d's tap loops. On a 2-vCPU x86_64 VM with
+# OpenBLAS 0.3.31 on one thread, a (6x18)@(18xn) tap ran at 59 GFLOP/s for
+# n = 8192 and 12 GFLOP/s for n = 20000; a whole 48 px batch-8 training
+# step took a median 25 ms with 8192-column tiles, 29-32 ms with 2048,
+# 4096 or 16384.
+TILE = 8192
 
 
 class ShapeError(ValueError):
@@ -146,6 +159,27 @@ def assert_finite(t: Tensor, context: str = ""):
 # primitives
 
 
+def _tap_gemms(mats, src: np.ndarray, shifts, out: np.ndarray):
+    """out[:, c] = sum over taps t of mats[t] @ src[:, c + shifts[t]], for
+    every column c of `out`, one tile of at most TILE columns at a time.
+
+    The first tap writes the tile and each later tap adds through one
+    (rows, tile) temporary, so taps are summed in order and a single tile
+    runs exactly the untiled operations. With an inner dimension of 1 a
+    tap is an outer product, which numpy's matmul computes several times
+    slower than a broadcast multiply.
+    """
+    ncols = out.shape[1]
+    mul = np.multiply if mats[0].shape[1] == 1 else np.matmul
+    tmp = np.empty((out.shape[0], min(TILE, ncols)), dtype=out.dtype)
+    for c0 in range(0, ncols, TILE):
+        c1 = min(c0 + TILE, ncols)
+        y, t = out[:, c0:c1], tmp[:, :c1 - c0]
+        mul(mats[0], src[:, c0 + shifts[0]:c1 + shifts[0]], out=y)
+        for a, s in zip(mats[1:], shifts[1:]):
+            y += mul(a, src[:, c0 + s:c1 + s], out=t)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation over (N, Cin, H, W) with zero padding.
 
@@ -158,16 +192,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     flattened to xf of shape (Cin, M), M = N*Hp*Wp. Tap (ki, kj) is the
     fixed column shift d = ki*Wp + kj, so
 
-        yf[:, :span] += w[:, :, ki, kj] @ xf[:, d:d + span],  span = M - d_max
+        yf[:, c] = sum over taps of w[:, :, ki, kj] @ xf[:, c + d],  c < M - d_max
 
     with every operand a strided view BLAS takes as is. Column c of yf is
     the output anchored at padded position c; the anchors of the strided
     output grid are the valid ones, and every other column (a window
     straddling a row or image edge) is junk that is cropped away. Stride > 1
-    computes at stride 1 and subsamples. The backward pass runs the same
-    taps on the gradient scattered into a zeroed grid, so the junk columns
-    contribute nothing: dW per tap is gf @ xf_shift.T, and dX accumulates
-    w_tap.T @ gf into the shifted columns, then drops the padding.
+    computes at stride 1 and subsamples.
+
+    The backward pass scatters the gradient into a zeroed grid that has
+    d_max leading zero columns, gpad of shape (Cout, d_max + M), so junk
+    columns contribute nothing. dX is gathered, the same loop as the
+    forward: dxf[:, c] = sum over taps of w_tap.T @ gpad[:, d_max + c - d].
+    dW per tap sums gpad_tile @ xf_shift_tile.T over the column tiles.
+
+    Every tap loop walks the columns in tiles of TILE = 8192 (blocking the
+    GEMM operands to cache: Goto & van de Geijn 2008; inside kn2row:
+    Anderson et al. 2017, arXiv 1709.03395). This model's GEMMs have 1 to
+    128 rows, and OpenBLAS runs the thin ones several times slower once a
+    tap spans tens of thousands of columns; 8192 measured fastest for a
+    whole training step. With M <= TILE (a 48 px image at batch 1) each
+    loop runs one tile, the same operations as an untiled loop.
     """
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
@@ -190,21 +235,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     hp, wp = h + 2 * p, wd + 2 * p
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     m = n * hp * wp
-    span = m - (kh - 1) * wp - (kw - 1)
+    dmax = (kh - 1) * wp + kw - 1
+    span = m - dmax
     taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+    shifts = [d for _, _, d in taps]
     valid = (slice(None), slice(None), slice(0, stride * ho, stride), slice(0, stride * wo, stride))
 
     xf = np.zeros((cin, n, hp, wp), dtype=x.data.dtype)
     xf[:, :, p:p + h, p:p + wd] = x.data.transpose(1, 0, 2, 3)
     xf = xf.reshape(cin, m)
     yf = np.empty((cout, m), dtype=np.result_type(x.data, w.data))
-    tmp = np.empty((cout, span), dtype=yf.dtype)
-    # with one input channel a tap is an outer product, which numpy's matmul
-    # computes several times slower than a broadcast multiply
-    mul = np.multiply if cin == 1 else np.matmul
-    mul(w.data[:, :, 0, 0], xf[:, :span], out=yf[:, :span])
-    for ki, kj, d in taps[1:]:
-        yf[:, :span] += mul(w.data[:, :, ki, kj], xf[:, d:d + span], out=tmp)
+    _tap_gemms([w.data[:, :, ki, kj] for ki, kj, _ in taps], xf, shifts, yf[:, :span])
     out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
 
     def bwd(g: np.ndarray):
@@ -212,19 +253,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             _accum(b, g.sum(axis=(0, 2, 3)))
         if not (w.requires_grad or x.requires_grad):
             return
-        gy = np.zeros((cout, n, hp, wp), dtype=g.dtype)
-        gy[valid] = g.transpose(1, 0, 2, 3)
-        gf = gy.reshape(cout, m)[:, :span]
+        gpad = np.zeros((cout, dmax + m), dtype=g.dtype)
+        gf = gpad[:, dmax:]
+        # splits gf's unit-stride rows, so the reshape is a view into gpad
+        gf.reshape(cout, n, hp, wp)[valid] = g.transpose(1, 0, 2, 3)
         if w.requires_grad:
-            dw = np.empty(w.shape, dtype=np.result_type(g, xf))
-            for ki, kj, d in taps:
-                dw[:, :, ki, kj] = gf @ xf[:, d:d + span].T
+            dw = np.zeros(w.shape, dtype=np.result_type(g, xf))
+            for c0 in range(0, span, TILE):
+                c1 = min(c0 + TILE, span)
+                for ki, kj, d in taps:
+                    dw[:, :, ki, kj] += gf[:, c0:c1] @ xf[:, c0 + d:c1 + d].T
             _accum(w, dw)
         if x.requires_grad:
-            dxf = np.zeros((cin, m), dtype=np.result_type(g, w.data))
-            tmp = np.empty((cin, span), dtype=dxf.dtype)
-            for ki, kj, d in taps:
-                dxf[:, d:d + span] += np.matmul(w.data[:, :, ki, kj].T, gf, out=tmp)
+            dxf = np.empty((cin, m), dtype=np.result_type(g, w.data))
+            _tap_gemms([w.data[:, :, ki, kj].T for ki, kj, _ in taps], gpad,
+                       [dmax - d for d in shifts], dxf)
             _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
 
     return _result(out, (x, w, b), bwd)

@@ -175,6 +175,7 @@ def end_to_end_run(tmp_path_factory):
     return _end_to_end(str(tmp_path_factory.mktemp("e2e_a")))
 
 
+@pytest.mark.slow
 def test_criterion_4_classification_accuracy_and_sensitivity(end_to_end_run):
     confusion = end_to_end_run["confusion"]
     assert confusion.total == 50
@@ -186,6 +187,7 @@ def test_criterion_4_classification_accuracy_and_sensitivity(end_to_end_run):
 
 
 class TestCriterion5Segmentation:
+    @pytest.mark.slow
     def test_mean_dice_on_end_to_end_run(self, end_to_end_run):
         mean_dice = end_to_end_run["mean_dice"]
         assert len(end_to_end_run["dice_per_sample"]) == 25
@@ -242,6 +244,7 @@ def test_criterion_7_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(before, after)
 
 
+@pytest.mark.slow
 def test_criterion_8_full_run_determinism(end_to_end_run, tmp_path_factory):
     repeat = _end_to_end(str(tmp_path_factory.mktemp("e2e_b")))
     assert repeat["train_csv"] == end_to_end_run["train_csv"]

@@ -1,9 +1,12 @@
 """Network construction, wiring, forward shape law, and checkpoint format."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from catunet import model as model_module
 from catunet import tensor as T
 from catunet.model import (CatUNetConfig, CheckpointError, build, feature_norm,
                            load_checkpoint, parameter_count, save_checkpoint)
@@ -166,6 +169,48 @@ class TestCheckpoint:
             npt.assert_array_equal(loaded.parameters[k].data, net.parameters[k].data)
         x = T.Tensor(np.random.default_rng(3).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
         npt.assert_array_equal(net.forward(x).data, loaded.forward(x).data)
+
+    def test_load_does_not_build(self, tmp_path, monkeypatch):
+        # the file's arrays become the parameters; nothing is initialized
+        # only to be overwritten
+        net = build(small_cfg(), Rng(11))
+        path = str(tmp_path / "m.catu")
+        save_checkpoint(net, path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("load_checkpoint called build")
+
+        monkeypatch.setattr(model_module, "build", no_build)
+        loaded = load_checkpoint(path)
+        assert list(loaded.parameters) == list(net.parameters)
+        for k, p in net.parameters.items():
+            q = loaded.parameters[k]
+            assert q.data.dtype == np.float32 and q.requires_grad and q.name == k
+            npt.assert_array_equal(q.data, p.data)
+
+    def test_duplicate_parameter_raises_load_error(self, tmp_path):
+        net = build(small_cfg(), Rng(0))
+        path = str(tmp_path / "m.catu")
+        save_checkpoint(net, path)
+        raw = open(path, "rb").read()
+        # same length and shape, so only the repeated name betrays it
+        assert net.parameters["enc0_conv2_b"].shape == net.parameters["enc0_conv1_b"].shape
+        open(path, "wb").write(raw.replace(b"enc0_conv2_b", b"enc0_conv1_b"))
+        with pytest.raises(CheckpointError, match="twice"):
+            load_checkpoint(path)
+
+    def test_huge_config_header_raises_load_error(self, tmp_path):
+        # the header's config alone must not allocate the parameters it
+        # implies: the file's own arrays disagree with it first
+        net = build(small_cfg(), Rng(0))
+        path = str(tmp_path / "m.catu")
+        save_checkpoint(net, path)
+        raw = open(path, "rb").read()
+        (cfg_len,) = struct.unpack("<I", raw[8:12])
+        cfg = small_cfg(base_channels=10 ** 9).to_json().encode("utf-8")
+        open(path, "wb").write(raw[:8] + struct.pack("<I", len(cfg)) + cfg + raw[12 + cfg_len:])
+        with pytest.raises(CheckpointError, match="config implies"):
+            load_checkpoint(path)
 
     def test_corrupt_magic_raises_load_error(self, tmp_path):
         net = build(small_cfg(), Rng(0))

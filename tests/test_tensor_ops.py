@@ -12,6 +12,12 @@ from oracles import (conv2d_backward_loops, conv2d_loops, maxpool2d_backward_loo
                      maxpool2d_loops, mse_loops, upsample_nearest_loops)
 
 
+# conv2d column tiles to run the conv tests under: one column per tile, a
+# width that leaves a partial last tile and puts tap shifts across tile
+# edges, and the default
+TILES = (1, 7, T.TILE)
+
+
 def tensor(a, **kw):
     return T.Tensor(np.asarray(a, dtype=np.float32), **kw)
 
@@ -41,7 +47,7 @@ class TestConv2d:
         assert not out.data.any()
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
-    def test_matches_loop_oracle(self, stride, padding):
+    def test_matches_loop_oracle(self, stride, padding, monkeypatch):
         gen = np.random.default_rng(stride * 10 + padding)
         for _ in range(5):
             n, cin, cout = gen.integers(1, 3), int(gen.integers(1, 4)), int(gen.integers(1, 4))
@@ -53,8 +59,11 @@ class TestConv2d:
             x = gen.uniform(-1, 1, (n, cin, h, w))
             wt = gen.uniform(-1, 1, (cout, cin, kh, kw))
             b = gen.uniform(-1, 1, cout)
-            out = T.conv2d(T.Tensor(x), T.Tensor(wt), T.Tensor(b), stride, padding)
-            npt.assert_allclose(out.data, conv2d_loops(x, wt, b, stride, padding), atol=1e-12)
+            ref = conv2d_loops(x, wt, b, stride, padding)
+            for tile in TILES:
+                monkeypatch.setattr(T, "TILE", tile)
+                out = T.conv2d(T.Tensor(x), T.Tensor(wt), T.Tensor(b), stride, padding)
+                npt.assert_allclose(out.data, ref, atol=1e-12)
 
     def test_output_shape_formula(self):
         gen = np.random.default_rng(7)
@@ -98,22 +107,25 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_matches_loop_oracle(self, stride, padding, k):
+    def test_matches_loop_oracle(self, stride, padding, k, monkeypatch):
         gen = np.random.default_rng(100 * stride + 10 * padding + k)
         h, w = 7, 5
-        x = T.Tensor(gen.uniform(-1, 1, (3, 2, h, w)), requires_grad=True)
-        wt = T.Tensor(gen.uniform(-1, 1, (3, 2, k, k)), requires_grad=True)
-        b = T.Tensor(gen.uniform(-1, 1, 3), requires_grad=True)
-        out = T.conv2d(x, wt, b, stride, padding)
-        g = gen.uniform(-1, 1, out.shape)
-        drive_backward(out, g)
-        dx, dw, db = conv2d_backward_loops(x.data, wt.data, g, stride, padding)
-        npt.assert_allclose(x.grad, dx, atol=1e-12)
-        npt.assert_allclose(wt.grad, dw, atol=1e-12)
-        npt.assert_allclose(b.grad, db, atol=1e-12)
+        xd = gen.uniform(-1, 1, (3, 2, h, w))
+        wd = gen.uniform(-1, 1, (3, 2, k, k))
+        bd = gen.uniform(-1, 1, 3)
+        ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+        g = gen.uniform(-1, 1, (3, 3, ho, wo))
+        dx, dw, db = conv2d_backward_loops(xd, wd, g, stride, padding)
+        for tile in TILES:
+            monkeypatch.setattr(T, "TILE", tile)
+            x, wt, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+            drive_backward(T.conv2d(x, wt, b, stride, padding), g)
+            npt.assert_allclose(x.grad, dx, atol=1e-12)
+            npt.assert_allclose(wt.grad, dw, atol=1e-12)
+            npt.assert_allclose(b.grad, db, atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1)])
-    def test_batch_images_are_independent(self, stride, padding):
+    def test_batch_images_are_independent(self, stride, padding, monkeypatch):
         # a window straddling a row or image edge must not reach any image's
         # output or input gradient, so each image matches its solo run
         gen = np.random.default_rng(31 + stride + padding)
@@ -127,11 +139,35 @@ class TestConv2dBackward:
             drive_backward(out, np.ones(out.shape))
             return out.data, xt.grad
 
-        out, dx = run(xs)
-        for i in range(len(xs)):
-            solo_out, solo_dx = run(xs[i:i + 1])
-            npt.assert_allclose(out[i:i + 1], solo_out, rtol=1e-12, atol=1e-12)
-            npt.assert_allclose(dx[i:i + 1], solo_dx, rtol=1e-12, atol=1e-12)
+        for tile in TILES:
+            monkeypatch.setattr(T, "TILE", tile)
+            out, dx = run(xs)
+            for i in range(len(xs)):
+                solo_out, solo_dx = run(xs[i:i + 1])
+                npt.assert_allclose(out[i:i + 1], solo_out, rtol=1e-12, atol=1e-12)
+                npt.assert_allclose(dx[i:i + 1], solo_dx, rtol=1e-12, atol=1e-12)
+
+    def test_tiled_matches_one_tile_at_model_size(self, monkeypatch):
+        # a 48 px batch of 4 spans more columns than one tile; tiling only
+        # regroups float32 sums, so every result stays within rounding of
+        # the same conv run as a single tile
+        gen = np.random.default_rng(48)
+        xd = gen.uniform(0, 1, (4, 18, 48, 48)).astype(np.float32)
+        wd = (gen.standard_normal((6, 18, 3, 3)) * 0.1).astype(np.float32)
+        bd = gen.uniform(-1, 1, 6).astype(np.float32)
+        g = gen.uniform(-1, 1, (4, 6, 48, 48)).astype(np.float32)
+        assert 4 * 50 * 50 > T.TILE
+
+        def run():
+            x, wt, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+            out = T.conv2d(x, wt, b, 1, 1)
+            drive_backward(out, g)
+            return out.data, x.grad, wt.grad, b.grad
+
+        tiled = run()
+        monkeypatch.setattr(T, "TILE", 10 ** 6)
+        for got, want in zip(tiled, run()):
+            npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
 
 class TestMaxPool2d:
