@@ -13,7 +13,6 @@ reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -157,24 +156,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_one(model, threshold_cfg, sample, with_mask):
-    batch = dx._as_batch(sample.pixels)
-    recon = dx.reconstruct(model, batch[0])
-    value = dx.score_from_pair(batch[0], recon, threshold_cfg.intensity_scale)
-    mask = None
-    if with_mask and sample.truth_mask is not None:
-        mask = dx.error_mask(batch[0], recon, threshold_cfg)
-    return recon, value, mask
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     threshold_cfg = _merge_section(dx.ThresholdConfig, file_cfg.get("threshold", {}), {
         "sample_threshold": args.threshold,
         "pixel_threshold": args.pixel_threshold,
     })
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
     try:
         model = load_checkpoint(args.model)
@@ -186,33 +173,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not samples:
         raise ValueError(f"dataset '{args.data}' holds no samples")
 
-    def work(sample):
-        return _score_one(model, threshold_cfg, sample, args.masks)
-
-    if args.jobs == 1:
-        scored = [work(s) for s in samples]
-    else:
-        # safe to share across workers: inference is read-only on the model,
-        # and no_grad state is per-thread, so one worker's block never turns
-        # graph recording off elsewhere; map() restores input order
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            scored = list(pool.map(work, samples))
-
-    results = []
-    originals, recons, dices = [], [], []
-    for sample, (recon, value, mask) in zip(samples, scored):
-        label = dx.classify(value, threshold_cfg)
-        results.append(dx.DiagnosisResult(id=sample.id, score=value, label=label))
-        originals.append(sample.pixels)
-        recons.append(recon)
-        if mask is not None:
-            dices.append(mx.dice(mask, sample.truth_mask))
+    results = [dx.diagnose(model, s.id, s.pixels, threshold_cfg,
+                           with_mask=args.masks and s.truth_mask is not None)
+               for s in samples]
+    dices = [mx.dice(r.mask, s.truth_mask) for r, s in zip(results, samples)
+             if r.mask is not None]
 
     labeled = [(r.label, s.truth_label) for r, s in zip(results, samples)
                if s.truth_label is not None]
     confusion = mx.confusion([p for p, _ in labeled], [a for _, a in labeled])
     report = mx.MetricsReport(
-        reconstruction_accuracy=mx.reconstruction_accuracy(originals, recons),
+        reconstruction_accuracy=mx.reconstruction_accuracy(
+            [s.pixels for s in samples], [r.reconstruction for r in results]),
         dice=(float(np.mean(dices)) if dices else None),
         confusion=confusion,
     )
@@ -240,24 +212,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    threshold_cfg = _merge_section(dx.ThresholdConfig, {},
+                                   {"sample_threshold": args.threshold})
     try:
         model = load_checkpoint(args.model)
     except (OSError, CheckpointError) as exc:
         raise RuntimeError(f"cannot load model '{args.model}': {exc}") from exc
     sample = dio.preprocess(dio.load_image(args.image), model.config.input_size,
                             model.config.input_channels)
-    threshold_cfg = dx.ThresholdConfig(sample_threshold=args.threshold)
-    batch = dx._as_batch(sample.pixels)
-    recon = dx.reconstruct(model, batch[0])
-    value = dx.score_from_pair(batch[0], recon, threshold_cfg.intensity_scale)
-    payload = {"id": sample.id, "score": value,
-               "label": dx.classify(value, threshold_cfg)}
+    result = dx.diagnose(model, sample.id, sample.pixels, threshold_cfg,
+                         with_mask=args.mask_out is not None)
     if args.mask_out is not None:
-        mask = dx.error_mask(batch[0], recon, threshold_cfg)
         _ensure_parent(args.mask_out)
-        dio.write_pgm(args.mask_out, (mask * 255).astype(np.uint8))
-        payload["mask_path"] = args.mask_out
-    print(json.dumps(payload, sort_keys=True))
+        dio.write_pgm(args.mask_out, (result.mask * 255).astype(np.uint8))
+        result.mask_path = args.mask_out
+    print(result.to_json_line())
     return 0
 
 
@@ -319,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="metrics.json", help="metrics JSON path")
     p.add_argument("--masks", action="store_true",
                    help="also compute Dice against ground-truth masks")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scoring workers")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="score one image")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,17 +40,15 @@ class ThresholdConfig:
 class DiagnosisResult:
     id: str
     score: float
-    label: str | None
+    label: str
     mask: np.ndarray | None = None
     mask_path: str | None = None
-    error: str | None = None
+    reconstruction: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_line(self) -> str:
         payload = {"id": self.id, "score": self.score, "label": self.label}
         if self.mask_path is not None:
             payload["mask_path"] = self.mask_path
-        if self.error is not None:
-            payload["error"] = self.error
         return json.dumps(payload, sort_keys=True)
 
 
@@ -138,27 +136,25 @@ def error_mask(sample: np.ndarray, reconstruction: np.ndarray,
     return (e >= t_px).astype(np.uint8)
 
 
-def diagnose_batch(model: CatUNetModel, samples, config: ThresholdConfig,
-                   with_masks: bool = True) -> list[DiagnosisResult]:
-    """Score and label each (id, image) pair, preserving order.
+def diagnose(model: CatUNetModel, sample_id: str, sample: np.ndarray,
+             config: ThresholdConfig, with_mask: bool = False) -> DiagnosisResult:
+    """Reconstruct, score and label one sample at batch 1, and binarize its
+    error map when `with_mask` is set.
 
-    Per-sample failures do not abort the batch; the failed entry comes
-    back with an `error` marker and a NaN score.
+    The one scoring path of `catunet evaluate` and `catunet diagnose`. A
+    non-finite score (an overflowing or NaN model) raises ValueError
+    naming the sample instead of becoming a label.
     """
-    results = []
-    for sample_id, image in samples:
-        try:
-            batch = _as_batch(image)
-            recon = reconstruct(model, batch[0])
-            value = score_from_pair(batch[0], recon, config.intensity_scale)
-            mask = error_mask(batch[0], recon, config) if with_masks else None
-            results.append(DiagnosisResult(id=str(sample_id), score=value,
-                                           label=classify(value, config),
-                                           mask=mask))
-        except Exception as exc:  # noqa: BLE001 - marker, not suppression
-            results.append(DiagnosisResult(id=str(sample_id), score=math.nan,
-                                           label=None, error=str(exc)))
-    return results
+    x = _as_batch(sample)[0]
+    recon = reconstruct(model, x)
+    value = score_from_pair(x, recon, config.intensity_scale)
+    if not math.isfinite(value):
+        raise ValueError(f"sample '{sample_id}' scored {value}: the model's "
+                         "reconstruction is not finite")
+    label = classify(value, config)
+    mask = error_mask(x, recon, config) if with_mask else None
+    return DiagnosisResult(id=sample_id, score=value, label=label, mask=mask,
+                           reconstruction=recon)
 
 
 def write_jsonl(results: list[DiagnosisResult], path: str) -> None:

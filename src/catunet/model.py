@@ -274,6 +274,8 @@ def load_checkpoint(path: str) -> CatUNetModel:
         if shapes[name] != vals.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {vals.shape}, config implies {shapes[name]}")
+        if not np.isfinite(vals).all():
+            raise CheckpointError(f"parameter {name!r} holds non-finite values")
         values[name] = vals.astype(np.float32)
     if view.read(1):
         raise CheckpointError("trailing bytes after last parameter")

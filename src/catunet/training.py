@@ -140,14 +140,18 @@ def _parameter_l2(model: CatUNetModel) -> T.Tensor:
 
 
 def loss(model: CatUNetModel, batch: T.Tensor, reg_weight: float = 0.0,
-         training: bool = False, dropout_rng=None) -> T.Tensor:
+         training: bool = False, dropout_rng=None) -> tuple[T.Tensor, T.Tensor]:
     """Reconstruction objective: MSE of the batch against itself plus
-    reg_weight times the sum of squared parameters."""
+    reg_weight times the sum of squared parameters.
+
+    Returns `(objective, mse)`; they are the same tensor when reg_weight
+    is 0.
+    """
     out = model.forward(batch, training=training, dropout_rng=dropout_rng)
     mse_t = T.mse(out, batch)
     if reg_weight == 0.0:
-        return mse_t
-    return T.add(mse_t, T.scale(_parameter_l2(model), reg_weight))
+        return mse_t, mse_t
+    return T.add(mse_t, T.scale(_parameter_l2(model), reg_weight)), mse_t
 
 
 def collect_gradients(model: CatUNetModel) -> dict[str, np.ndarray]:
@@ -248,12 +252,8 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
         for start in range(0, n_train, config.batch_size):
             idx = order[start: start + config.batch_size]
             xb = T.Tensor(train_x[idx])
-            out = model.forward(xb, training=True, dropout_rng=dropout)
-            mse_t = T.mse(out, xb)
-            if config.reg_weight != 0.0:
-                loss_t = T.add(mse_t, T.scale(_parameter_l2(model), config.reg_weight))
-            else:
-                loss_t = mse_t
+            loss_t, mse_t = loss(model, xb, config.reg_weight, training=True,
+                                 dropout_rng=dropout)
             lv = float(loss_t.data)
             if not math.isfinite(lv):
                 raise RuntimeError(

@@ -9,6 +9,7 @@ import pytest
 from catunet import cli
 from catunet import data_io as dio
 from catunet import tensor as T
+from catunet.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,18 @@ def workspace(tmp_path_factory):
                      "--size", "24", "--depth", "1", "--base", "2",
                      "--seed", "1"]) == 0
     return {"root": root, "data": data, "model": model}
+
+
+@pytest.fixture(scope="module")
+def overflow_model(workspace):
+    """The workspace model with every weight at 1e38: loadable (all values
+    are finite) but its float32 forward overflows."""
+    path = str(workspace["root"] / "overflow.catu")
+    net = load_checkpoint(workspace["model"])
+    for p in net.parameters.values():
+        p.data[...] = 1e38
+    save_checkpoint(net, path)
+    return path
 
 
 class TestSynth:
@@ -144,29 +157,57 @@ class TestEvaluate:
                          workspace["data"], "--report", report]) == 0
         assert json.loads((tmp_path / "m.json").read_text())["dice"] is None
 
-    def test_jobs_do_not_change_outputs(self, workspace, tmp_path):
-        paths = []
-        for jobs, name in ((1, "a.json"), (3, "b.json")):
-            report = str(tmp_path / name)
-            assert cli.main(["evaluate", "--model", workspace["model"],
-                             "--data", workspace["data"], "--report", report,
-                             "--masks", "--jobs", str(jobs)]) == 0
-            paths.append(tmp_path / name)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_threaded_evaluate_leaves_autodiff_on(self, workspace, tmp_path):
-        # workers enter no_grad concurrently; none of that may outlive them
+    def test_evaluate_leaves_autodiff_on(self, workspace, tmp_path):
+        # scoring runs under no_grad; none of that may outlive the command
         for i in range(6):
             assert cli.main(["evaluate", "--model", workspace["model"],
                              "--data", workspace["data"],
-                             "--report", str(tmp_path / f"m{i}.json"),
-                             "--jobs", "3"]) == 0
+                             "--report", str(tmp_path / f"m{i}.json")]) == 0
         x0 = np.array([[0.5, 1.0], [1.5, 2.0]], dtype=np.float32)
         t0 = np.zeros((2, 2), dtype=np.float32)
         x = T.Tensor(x0.copy(), requires_grad=True)
         T.backward(T.mse(T.relu(x), T.Tensor(t0)))
-        assert x.grad is not None, "graph recording left off after evaluate --jobs"
+        assert x.grad is not None, "graph recording left off after evaluate"
         np.testing.assert_allclose(x.grad, 2.0 * (x0 - t0) / x0.size, rtol=1e-6)
+
+    def test_samples_agree_with_diagnose(self, workspace, tmp_path, capsys):
+        # evaluate and diagnose share one scoring path: same score, same label
+        report = str(tmp_path / "m.json")
+        assert cli.main(["evaluate", "--model", workspace["model"], "--data",
+                         workspace["data"], "--report", report,
+                         "--threshold", "1000"]) == 0
+        lines = (tmp_path / "m.samples.jsonl").read_text().splitlines()
+        by_id = {json.loads(line)["id"]: line for line in lines}
+        capsys.readouterr()
+        for name in ("positive/pos_000.pgm", "positive/pos_003.pgm",
+                     "negative/neg_001.pgm"):
+            assert cli.main(["diagnose", "--model", workspace["model"],
+                             "--image", os.path.join(workspace["data"], name),
+                             "--threshold", "1000"]) == 0
+            printed = capsys.readouterr().out.rstrip("\n")
+            assert printed == by_id[json.loads(printed)["id"]]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
+                                                tmp_path, capsys):
+        code = cli.main(["evaluate", "--model", overflow_model, "--data",
+                         workspace["data"], "--report", str(tmp_path / "m.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "pos_000" in captured.err
+        assert captured.out == ""  # no Infinity/NaN score, no nan summary
+        assert not (tmp_path / "m.json").exists()
+
+    def test_nan_weight_model_cannot_load(self, workspace, tmp_path, capsys):
+        path = str(tmp_path / "nan.catu")
+        net = load_checkpoint(workspace["model"])
+        net.parameters["out_b"].data[...] = np.nan
+        save_checkpoint(net, path)
+        code = cli.main(["evaluate", "--model", path, "--data", workspace["data"],
+                         "--report", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cannot load model" in err and "out_b" in err
 
     def test_unreadable_model_is_runtime_error(self, workspace, tmp_path, capsys):
         code = cli.main(["evaluate", "--model", str(tmp_path / "no.catu"),
@@ -174,11 +215,6 @@ class TestEvaluate:
                          "--report", str(tmp_path / "m.json")])
         assert code == 1
         assert "cannot load model" in capsys.readouterr().err
-
-    def test_bad_jobs_is_usage_error(self, workspace, tmp_path):
-        assert cli.main(["evaluate", "--model", workspace["model"], "--data",
-                         workspace["data"], "--jobs", "0",
-                         "--report", str(tmp_path / "m.json")]) == 2
 
 
 class TestDiagnose:
@@ -211,6 +247,26 @@ class TestDiagnose:
     def test_unreadable_image_is_runtime_error(self, workspace, tmp_path):
         assert cli.main(["diagnose", "--model", workspace["model"],
                          "--image", str(tmp_path / "no.pgm")]) == 1
+
+    def test_negative_threshold_is_usage_error(self, workspace, capsys):
+        image = os.path.join(workspace["data"], "positive", "pos_000.pgm")
+        assert cli.main(["diagnose", "--model", workspace["model"], "--image",
+                         image, "--threshold", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "sample_threshold" in err and "--help" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
+                                                tmp_path, capsys):
+        image = os.path.join(workspace["data"], "negative", "neg_002.pgm")
+        mask_path = tmp_path / "mask.pgm"
+        code = cli.main(["diagnose", "--model", overflow_model, "--image", image,
+                         "--mask-out", str(mask_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "neg_002" in captured.err
+        assert captured.out == ""
+        assert not mask_path.exists()
 
 
 class TestGradcheck:

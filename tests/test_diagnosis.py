@@ -1,7 +1,6 @@
 """Scoring, threshold classification, and error-mask behavior."""
 
 import json
-import math
 
 import numpy as np
 import numpy.testing as npt
@@ -123,26 +122,14 @@ class TestErrorMask:
 
 
 class TestDiagnoseBatch:
-    def test_empty_input_empty_output(self):
-        assert dx.diagnose_batch(tiny_model(), [], dx.ThresholdConfig()) == []
+    """dx.diagnose applied sample by sample, as `catunet evaluate` runs it."""
 
     def test_duplicate_samples_identical_scores(self):
         net = tiny_model(seed=2)
         img = np.random.default_rng(2).uniform(0, 1, (1, 8, 8)).astype(np.float32)
-        results = dx.diagnose_batch(net, [("a", img), ("b", img)],
-                                    dx.ThresholdConfig())
+        cfg = dx.ThresholdConfig()
+        results = [dx.diagnose(net, name, img, cfg) for name in ("a", "b")]
         assert results[0].score == results[1].score
-
-    def test_order_preserved_and_failures_marked(self):
-        net = tiny_model(seed=1)
-        good = np.random.default_rng(3).uniform(0, 1, (1, 8, 8)).astype(np.float32)
-        bad = np.zeros((1, 5, 5), dtype=np.float32)  # wrong spatial size
-        results = dx.diagnose_batch(net, [("ok1", good), ("broken", bad),
-                                          ("ok2", good)], dx.ThresholdConfig())
-        assert [r.id for r in results] == ["ok1", "broken", "ok2"]
-        assert results[1].error is not None
-        assert math.isnan(results[1].score)
-        assert results[0].error is None and results[2].error is None
 
     def test_counts_agree_with_confusion_matrix(self):
         net = tiny_model(seed=4)
@@ -150,7 +137,7 @@ class TestDiagnoseBatch:
         samples = [(f"s{i}", gen.uniform(0, 1, (1, 8, 8)).astype(np.float32))
                    for i in range(20)]
         cfg = dx.ThresholdConfig(sample_threshold=2000.0)
-        results = dx.diagnose_batch(net, samples, cfg, with_masks=False)
+        results = [dx.diagnose(net, name, img, cfg) for name, img in samples]
         truth = ["Positive" if i < 10 else "Negative" for i in range(20)]
         cm = confusion([r.label for r in results], truth)
         n_pos_pred = sum(1 for r in results if r.label == "Positive")
@@ -160,7 +147,7 @@ class TestDiagnoseBatch:
     def test_jsonl_round_trip(self, tmp_path):
         net = tiny_model(seed=5)
         img = np.random.default_rng(8).uniform(0, 1, (1, 8, 8)).astype(np.float32)
-        results = dx.diagnose_batch(net, [("x", img)], dx.ThresholdConfig())
+        results = [dx.diagnose(net, "x", img, dx.ThresholdConfig(), with_mask=True)]
         results[0].mask_path = "masks/x.pgm"
         out = tmp_path / "diag.jsonl"
         dx.write_jsonl(results, str(out))
@@ -169,6 +156,32 @@ class TestDiagnoseBatch:
         obj = json.loads(lines[0])
         assert obj["id"] == "x" and obj["mask_path"] == "masks/x.pgm"
         assert set(obj) == {"id", "score", "label", "mask_path"}
+
+
+class TestDiagnose:
+    def test_matches_the_separate_steps(self):
+        net = tiny_model(seed=3)
+        img = np.random.default_rng(9).uniform(0, 1, (8, 8)).astype(np.float32)
+        cfg = dx.ThresholdConfig(sample_threshold=3000.0)
+        result = dx.diagnose(net, "s", img, cfg, with_mask=True)
+        recon = dx.reconstruct(net, img[None])
+        value = dx.score_from_pair(img[None], recon)
+        npt.assert_array_equal(result.reconstruction, recon)
+        assert result.score == value
+        assert result.label == dx.classify(value, cfg)
+        npt.assert_array_equal(result.mask, dx.error_mask(img[None], recon, cfg))
+        assert dx.diagnose(net, "s", img, cfg).mask is None
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("weight", [1e38, np.nan])
+    def test_non_finite_score_raises_naming_sample(self, weight):
+        net = tiny_model(seed=6)
+        for p in net.parameters.values():
+            p.data[...] = weight
+        img = np.random.default_rng(10).uniform(0, 1, (1, 8, 8)).astype(np.float32)
+        with pytest.raises(ValueError, match="sample 'bad_07'"):
+            dx.diagnose(net, "bad_07", img, dx.ThresholdConfig())
 
 
 class TestCalibration:

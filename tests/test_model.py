@@ -212,6 +212,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="config implies"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises_load_error(self, tmp_path, value):
+        # a NaN weight would otherwise score NaN and label every image Negative
+        net = build(small_cfg(), Rng(0))
+        net.parameters["dec1_w"].data[0, 0, 1, 1] = value
+        path = str(tmp_path / "m.catu")
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="'dec1_w'.*non-finite"):
+            load_checkpoint(path)
+
     def test_corrupt_magic_raises_load_error(self, tmp_path):
         net = build(small_cfg(), Rng(0))
         path = str(tmp_path / "m.catu")

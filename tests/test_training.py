@@ -72,15 +72,17 @@ class TestLoss:
         net.parameters["enc0_conv1_w"].data[0, 0, 0, 0] = 1.0
         net.parameters["enc0_conv2_w"].data[0, 0, 0, 0] = 2.0
         x = T.Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
-        assert float(tr.loss(net, x, reg_weight=1.0).data) == pytest.approx(5.0)
-        assert float(tr.loss(net, x, reg_weight=0.0).data) == 0.0
+        objective, mse_t = tr.loss(net, x, reg_weight=1.0)
+        assert float(objective.data) == pytest.approx(5.0)
+        assert float(mse_t.data) == 0.0  # the penalty stays out of the MSE
+        assert float(tr.loss(net, x, reg_weight=0.0)[0].data) == 0.0
 
     def test_matches_scalar_oracle(self):
         net = tiny_model(seed=3)
         gen = np.random.default_rng(8)
         x = T.Tensor(gen.uniform(0, 1, (2, 1, 8, 8)).astype(np.float32))
         lam = 0.01
-        got = float(tr.loss(net, x, reg_weight=lam).data)
+        got = float(tr.loss(net, x, reg_weight=lam)[0].data)
         out = net.forward(x).data
         se = 0.0
         for a, b in zip(out.ravel().tolist(), x.data.ravel().tolist()):
@@ -209,11 +211,11 @@ class TestTrain:
         net = tiny_model(dropout=0.0, seed=5)
         data = smooth_stack(2, 8, seed=9)
         xb = T.Tensor(data)
-        before = tr.loss(net, xb)
+        before, _ = tr.loss(net, xb)
         net.zero_grad()
         T.backward(before)
         tr.sgd_step(net, tr.collect_gradients(net), 1e-4)
-        after = tr.loss(net, xb)
+        after, _ = tr.loss(net, xb)
         assert float(after.data) < float(before.data)
 
     def test_zero_epochs_leaves_model_unchanged(self):
