@@ -24,7 +24,6 @@ import numpy as np
 from . import data_io as dio
 from . import diagnosis as dx
 from . import gradcheck as gc
-from . import metrics as mx
 from .model import CatUNetConfig, CheckpointError, build, load_checkpoint, save_checkpoint
 from .rng import Rng
 from .training import TrainingConfig, train
@@ -131,6 +130,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         "input_size": args.size, "depth": args.depth,
         "base_channels": args.base, "dropout_rate": args.dropout,
     })
+    if model_cfg.output_channels != model_cfg.input_channels:
+        raise UsageError(f"output_channels ({model_cfg.output_channels}) must equal "
+                         f"input_channels ({model_cfg.input_channels}): the model "
+                         "reconstructs its input")
     train_cfg = _merge_section(TrainingConfig, file_cfg.get("training", {}), {
         "epochs": args.epochs, "batch_size": args.batch,
         "learning_rate": args.lr, "seed": args.seed,
@@ -173,33 +176,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not samples:
         raise ValueError(f"dataset '{args.data}' holds no samples")
 
-    results = [dx.diagnose(model, s.id, s.pixels, threshold_cfg,
-                           with_mask=args.masks and s.truth_mask is not None)
-               for s in samples]
-    dices = [mx.dice(r.mask, s.truth_mask) for r, s in zip(results, samples)
-             if r.mask is not None]
-
-    labeled = [(r.label, s.truth_label) for r, s in zip(results, samples)
-               if s.truth_label is not None]
-    confusion = mx.confusion([p for p, _ in labeled], [a for _, a in labeled])
-    report = mx.MetricsReport(
-        reconstruction_accuracy=mx.reconstruction_accuracy(
-            [s.pixels for s in samples], [r.reconstruction for r in results]),
-        dice=(float(np.mean(dices)) if dices else None),
-        confusion=confusion,
-    )
+    results, report = dx.evaluate(model, samples, threshold_cfg, with_masks=args.masks)
 
     _ensure_parent(args.report)
     report.write_json(args.report)
     stem = os.path.splitext(args.report)[0]
-    confusion.to_csv(stem + ".confusion.csv")
+    report.confusion.to_csv(stem + ".confusion.csv")
     dx.write_jsonl(results, stem + ".samples.jsonl")
 
     rows = [("samples", f"{len(samples)}"),
             ("reconstruction_accuracy", f"{report.reconstruction_accuracy:.4f}"),
             ("sample_threshold", f"{threshold_cfg.sample_threshold:g}")]
     for name in ("accuracy", "sensitivity", "specificity"):
-        value = getattr(confusion, name)
+        value = getattr(report.confusion, name)
         if value is not None:
             rows.append((name, f"{value:.4f}"))
     if report.dice is not None:

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import NEGATIVE, POSITIVE
 from .rng import Rng
 
 logger = logging.getLogger("catunet.data_io")
-
-POSITIVE = "Positive"
-NEGATIVE = "Negative"
 
 
 @dataclass
@@ -66,9 +64,9 @@ class SynthConfig:
         lo, hi = self.lesion_radius_range
         if not 1 <= lo <= hi:
             problems.append(f"lesion_radius_range must be 1 <= lo <= hi, got {lo, hi}")
-        if hi >= self.image_size / 2:
-            problems.append(f"lesion radius {hi} must stay below half the "
-                            f"image size ({self.image_size / 2})")
+        if hi + 2 >= self.image_size / 2:  # _lesion keeps a 2-pixel margin
+            problems.append(f"lesion radius {hi} plus a 2-pixel margin must stay "
+                            f"below half the image size ({self.image_size / 2})")
         if self.noise_std < 0:
             problems.append(f"noise_std must be >= 0, got {self.noise_std}")
         if self.negative_noise_std is not None and self.negative_noise_std < 0:

@@ -1,4 +1,5 @@
-"""Reconstruction-error scoring, thresholding, and error-mask extraction.
+"""Reconstruction-error scoring, thresholding, error-mask extraction, and
+the evaluation fold over a dataset.
 
 Scores are mean squared errors expressed on the 0-255 intensity scale
 (inputs live in [0,1], so the raw difference is multiplied by 255
@@ -14,26 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics as mx
 from . import tensor as T
+from .metrics import NEGATIVE, POSITIVE
 from .model import CatUNetModel
 
-POSITIVE = "Positive"
-NEGATIVE = "Negative"
+INTENSITY_SCALE = 255.0
 
 
 @dataclass
 class ThresholdConfig:
     sample_threshold: float = 50.0
     pixel_threshold: float | None = None  # None -> Otsu per error map
-    intensity_scale: float = 255.0
 
     def __post_init__(self) -> None:
         if self.sample_threshold < 0:
             raise ValueError(f"sample_threshold must be >= 0, got {self.sample_threshold}")
         if self.pixel_threshold is not None and self.pixel_threshold < 0:
             raise ValueError(f"pixel_threshold must be >= 0, got {self.pixel_threshold}")
-        if self.intensity_scale <= 0:
-            raise ValueError(f"intensity_scale must be positive, got {self.intensity_scale}")
 
 
 @dataclass
@@ -62,28 +61,25 @@ def _as_batch(sample: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(model: CatUNetModel, sample: np.ndarray) -> np.ndarray:
-    """Inference-mode forward pass for a single sample; returns (c, h, w)."""
+    """Inference-mode forward pass for a single sample; returns (c, h, w).
+
+    An overflowing model yields inf/NaN silently here; `diagnose` names
+    the sample whose score is not finite.
+    """
     batch = _as_batch(sample)
-    with T.no_grad():
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         out = model.forward(T.Tensor(batch), training=False)
     return out.data[0]
 
 
-def score_from_pair(sample: np.ndarray, reconstruction: np.ndarray,
-                    scale: float = 255.0) -> float:
+def score_from_pair(sample: np.ndarray, reconstruction: np.ndarray) -> float:
     x = np.asarray(sample, dtype=np.float64)
     y = np.asarray(reconstruction, dtype=np.float64)
     if x.shape != y.shape:
         raise T.ShapeError(f"sample shape {x.shape} does not match "
                            f"reconstruction shape {y.shape}")
-    d = scale * (x - y)
+    d = INTENSITY_SCALE * (x - y)
     return float(np.mean(d * d))
-
-
-def score(model: CatUNetModel, sample: np.ndarray, scale: float = 255.0) -> float:
-    """MSE between a sample and its reconstruction on the 0-255 scale."""
-    batch = _as_batch(sample)
-    return score_from_pair(batch[0], reconstruct(model, batch[0]), scale)
 
 
 def classify(value: float, config: ThresholdConfig) -> str:
@@ -127,7 +123,7 @@ def error_mask(sample: np.ndarray, reconstruction: np.ndarray,
     if x.shape != y.shape:
         raise T.ShapeError(f"sample shape {x.shape} does not match "
                            f"reconstruction shape {y.shape}")
-    e = (config.intensity_scale * (x - y)) ** 2
+    e = (INTENSITY_SCALE * (x - y)) ** 2
     if e.ndim == 3:
         e = e.mean(axis=0)  # collapse channels to the spatial map
     t_px = config.pixel_threshold
@@ -147,7 +143,7 @@ def diagnose(model: CatUNetModel, sample_id: str, sample: np.ndarray,
     """
     x = _as_batch(sample)[0]
     recon = reconstruct(model, x)
-    value = score_from_pair(x, recon, config.intensity_scale)
+    value = score_from_pair(x, recon)
     if not math.isfinite(value):
         raise ValueError(f"sample '{sample_id}' scored {value}: the model's "
                          "reconstruction is not finite")
@@ -155,6 +151,30 @@ def diagnose(model: CatUNetModel, sample_id: str, sample: np.ndarray,
     mask = error_mask(x, recon, config) if with_mask else None
     return DiagnosisResult(id=sample_id, score=value, label=label, mask=mask,
                            reconstruction=recon)
+
+
+def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
+             with_masks: bool = False) -> tuple[list[DiagnosisResult], mx.MetricsReport]:
+    """Diagnose each sample and fold the results into metrics; the one
+    evaluation path of `catunet evaluate` and the end-to-end gates.
+
+    A mask is made only with `with_masks` and a `truth_mask`. Dice is over
+    the masked samples (None when there are none), confusion over those
+    with a `truth_label`, reconstruction accuracy over all of them.
+    """
+    results = [diagnose(model, s.id, s.pixels, config,
+                        with_mask=with_masks and s.truth_mask is not None)
+               for s in samples]
+    dices = [mx.dice(r.mask, s.truth_mask) for r, s in zip(results, samples)
+             if r.mask is not None]
+    labeled = [(r.label, s.truth_label) for r, s in zip(results, samples)
+               if s.truth_label is not None]
+    return results, mx.MetricsReport(
+        reconstruction_accuracy=mx.reconstruction_accuracy(
+            [s.pixels for s in samples], [r.reconstruction for r in results]),
+        dice=(float(np.mean(dices)) if dices else None),
+        confusion=mx.confusion([p for p, _ in labeled], [a for _, a in labeled]),
+    )
 
 
 def write_jsonl(results: list[DiagnosisResult], path: str) -> None:
@@ -198,8 +218,6 @@ def calibrate_pixel_threshold(error_maps, truth_masks) -> float:
     handful of masked validation images is cheap and lands where the
     overlap actually peaks.
     """
-    from .metrics import dice
-
     error_maps = [np.asarray(e, dtype=np.float64) for e in error_maps]
     if len(error_maps) != len(truth_masks):
         raise ValueError(f"{len(error_maps)} error maps but "
@@ -210,7 +228,7 @@ def calibrate_pixel_threshold(error_maps, truth_masks) -> float:
     grid = np.percentile(pooled, np.linspace(75.0, 99.9, 80))
     best_t, best_d = None, -1.0
     for t in grid:
-        d = float(np.mean([dice((e >= t).astype(np.uint8), m)
+        d = float(np.mean([mx.dice((e >= t).astype(np.uint8), m)
                            for e, m in zip(error_maps, truth_masks)]))
         if d > best_d:
             best_t, best_d = float(t), d

@@ -106,7 +106,7 @@ def test_criterion_3_overfit_reconstruction_accuracy(tmp_path):
 
 
 def _end_to_end(root: str) -> dict:
-    """One full pipeline run: synth → train → calibrate → evaluate."""
+    """One full pipeline run: synth → train → calibrate → `dx.evaluate`."""
     t0 = time.monotonic()
     corpus = dio.SynthConfig(**RECIPE["corpus"])
     dio.synthesize(corpus, root)
@@ -124,44 +124,28 @@ def _end_to_end(root: str) -> dict:
     _, val_idx = tr.split(np.arange(len(train_pool)), t_cfg.validation_fraction,
                           Rng(t_cfg.seed).stream("shuffle"))
     val_samples = [train_pool[i] for i in val_idx]
-
-    val_scores = [dx.score(model, s.pixels) for s in val_samples]
-    threshold = dx.calibrate_from_positives(val_scores, margin=RECIPE["margin"])
-
-    def emap(sample):
-        recon = dx.reconstruct(model, sample.pixels)
-        return (255.0 * (sample.pixels[0] - recon[0])) ** 2
-
-    t_px = dx.calibrate_pixel_threshold([emap(s) for s in val_samples],
-                                        [s.truth_mask for s in val_samples])
+    val_recons = [dx.reconstruct(model, s.pixels) for s in val_samples]
+    threshold = dx.calibrate_from_positives(
+        [dx.score_from_pair(s.pixels, r) for s, r in zip(val_samples, val_recons)],
+        margin=RECIPE["margin"])
+    t_px = dx.calibrate_pixel_threshold(
+        [(dx.INTENSITY_SCALE * (s.pixels[0] - r[0])) ** 2
+         for s, r in zip(val_samples, val_recons)],
+        [s.truth_mask for s in val_samples])
     threshold_cfg = dx.ThresholdConfig(sample_threshold=threshold,
                                        pixel_threshold=t_px)
 
-    originals, recons, predicted, actual = [], [], [], []
-    dices = []
-    for sample in test_pos + negatives:
-        recon = dx.reconstruct(model, sample.pixels)
-        value = dx.score_from_pair(sample.pixels, recon)
-        predicted.append(dx.classify(value, threshold_cfg))
-        actual.append(sample.truth_label)
-        originals.append(sample.pixels)
-        recons.append(recon)
-        if sample.truth_mask is not None:
-            mask = dx.error_mask(sample.pixels, recon, threshold_cfg)
-            dices.append(mx.dice(mask, sample.truth_mask))
-
-    confusion = mx.confusion(predicted, actual)
-    metrics_report = mx.MetricsReport(
-        reconstruction_accuracy=mx.reconstruction_accuracy(originals, recons),
-        dice=float(np.mean(dices)),
-        confusion=confusion,
-    )
+    test_samples = test_pos + negatives
+    results, metrics_report = dx.evaluate(model, test_samples, threshold_cfg,
+                                          with_masks=True)
+    dices = [mx.dice(r.mask, s.truth_mask) for r, s in zip(results, test_samples)
+             if r.mask is not None]
     csv_path = f"{root}/train.csv"
     report.to_csv(csv_path)
     return {
-        "confusion": confusion,
+        "confusion": metrics_report.confusion,
         "dice_per_sample": dices,
-        "mean_dice": float(np.mean(dices)),
+        "mean_dice": metrics_report.dice,
         "metrics_json": metrics_report.to_json(),
         "train_csv": open(csv_path, "rb").read(),
         "threshold": threshold,

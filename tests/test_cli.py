@@ -62,6 +62,12 @@ class TestSynth:
             cli.main(["synth", "--n-pos", "3"])
         assert err.value.code == 2
 
+    def test_size_too_small_for_lesion_is_usage_error(self, tmp_path, capsys):
+        code = cli.main(["synth", "--out", str(tmp_path / "d"), "--n-pos", "20",
+                         "--size", "16", "--seed", "1"])
+        assert code == 2
+        assert "lesion radius 7" in capsys.readouterr().err
+
     def test_invalid_count_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["synth", "--out", str(tmp_path / "d"), "--n-pos", "-1"])
         assert code == 2
@@ -121,6 +127,23 @@ class TestTrain:
                          "--out", str(tmp_path / "m.catu")])
         assert code == 2
         assert "epochz" in capsys.readouterr().err
+        config.write_text(json.dumps({"threshold": {"intensity_scale": 255.0}}))
+        assert cli.main(["evaluate", "--model", workspace["model"], "--data",
+                         workspace["data"], "--config", str(config),
+                         "--report", str(tmp_path / "m.json")]) == 2
+        assert "intensity_scale" in capsys.readouterr().err
+
+    def test_output_channels_other_than_input_is_usage_error(self, workspace, tmp_path,
+                                                              capsys):
+        config = tmp_path / "out2.json"
+        config.write_text(json.dumps({"model": {"output_channels": 2}}))
+        run_dir = tmp_path / "run"
+        code = cli.main(["train", "--data", workspace["data"], "--config", str(config),
+                         "--out", str(run_dir / "m.catu"), "--epochs", "1",
+                         "--size", "24", "--depth", "1", "--base", "2"])
+        assert code == 2
+        assert "output_channels" in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_malformed_config_file_is_usage_error(self, workspace, tmp_path):
         config = tmp_path / "bad.json"
@@ -187,7 +210,7 @@ class TestEvaluate:
             printed = capsys.readouterr().out.rstrip("\n")
             assert printed == by_id[json.loads(printed)["id"]]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
                                                 tmp_path, capsys):
         code = cli.main(["evaluate", "--model", overflow_model, "--data",
@@ -195,6 +218,7 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err and "pos_000" in captured.err
+        assert len(captured.err.splitlines()) == 1  # no numpy overflow warnings
         assert captured.out == ""  # no Infinity/NaN score, no nan summary
         assert not (tmp_path / "m.json").exists()
 
@@ -255,7 +279,7 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert "sample_threshold" in err and "--help" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
                                                 tmp_path, capsys):
         image = os.path.join(workspace["data"], "negative", "neg_002.pgm")
@@ -265,6 +289,7 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err and "neg_002" in captured.err
+        assert len(captured.err.splitlines()) == 1  # no numpy overflow warnings
         assert captured.out == ""
         assert not mask_path.exists()
 

@@ -320,3 +320,13 @@ class TestSynthesize:
     def test_radius_must_fit_image(self):
         with pytest.raises(ValueError, match="half the"):
             SynthConfig(image_size=16, lesion_radius_range=(3, 8))
+
+    @pytest.mark.parametrize("radii", [(2, 3), (4, 4), (5, 7)])
+    def test_smallest_accepted_size_synthesizes(self, tmp_path, radii):
+        size = 2 * (radii[1] + 2) + 1  # _lesion's centre needs a 2-pixel margin
+        with pytest.raises(ValueError, match="half the"):
+            SynthConfig(image_size=size - 1, lesion_radius_range=radii)
+        for seed in range(3):
+            dio.synthesize(SynthConfig(image_size=size, n_positive=20, n_negative=0,
+                                       lesion_radius_range=radii, seed=seed),
+                           str(tmp_path / str(seed)))

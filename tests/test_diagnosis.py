@@ -41,9 +41,10 @@ class TestScore:
     def test_model_score_nonnegative_and_shape_checked(self):
         net = tiny_model()
         img = np.random.default_rng(1).uniform(0, 1, (1, 8, 8)).astype(np.float32)
-        assert dx.score(net, img) >= 0.0
+        cfg = dx.ThresholdConfig()
+        assert dx.diagnose(net, "s", img, cfg).score >= 0.0
         with pytest.raises(T.ShapeError):
-            dx.score(net, np.zeros((1, 4, 4), dtype=np.float32))
+            dx.diagnose(net, "s", np.zeros((1, 4, 4), dtype=np.float32), cfg)
 
 
 class TestClassify:
@@ -172,8 +173,6 @@ class TestDiagnose:
         npt.assert_array_equal(result.mask, dx.error_mask(img[None], recon, cfg))
         assert dx.diagnose(net, "s", img, cfg).mask is None
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("weight", [1e38, np.nan])
     def test_non_finite_score_raises_naming_sample(self, weight):
         net = tiny_model(seed=6)

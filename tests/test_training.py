@@ -286,6 +286,20 @@ class TestTrain:
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
 
+    def test_replayed_split_recovers_validation_set(self):
+        # The acceptance gates and the benchmark recover train()'s validation
+        # set by replaying the first draw of the shuffle stream on indices.
+        data = smooth_stack(8, 8, seed=7)
+        config = tr.TrainingConfig(learning_rate=0.05, epochs=2, batch_size=4,
+                                   validation_fraction=0.25, seed=3)
+        net, report = tr.train(tiny_model(dropout=0.5, seed=9), data, config)
+        train_idx, val_idx = tr.split(np.arange(len(data)), config.validation_fraction,
+                                      Rng(config.seed).stream("shuffle"))
+        val_loss = report.records[-1].val_loss
+        assert tr.evaluate_mse(net, data[val_idx], config.batch_size) == val_loss
+        other = train_idx[: len(val_idx)]
+        assert tr.evaluate_mse(net, data[other], config.batch_size) != val_loss
+
     def test_csv_report_shape(self, tmp_path):
         net = tiny_model(dropout=0.0, seed=1)
         _, report = tr.train(net, smooth_stack(4, 8, seed=1),
