@@ -159,6 +159,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_model(path: str):
+    try:
+        return load_checkpoint(path)
+    except (OSError, CheckpointError) as exc:
+        raise RuntimeError(f"cannot load model '{path}': {exc}") from exc
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     threshold_cfg = _merge_section(dx.ThresholdConfig, file_cfg.get("threshold", {}), {
@@ -166,13 +173,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "pixel_threshold": args.pixel_threshold,
     })
 
-    try:
-        model = load_checkpoint(args.model)
-    except (OSError, CheckpointError) as exc:
-        raise RuntimeError(f"cannot load model '{args.model}': {exc}") from exc
-    positives, negatives, _ = dio.load_dataset(args.data)
+    model = _load_model(args.model)
+    # only the preprocessed samples stay referenced: the raw images go
+    # once the comprehension ends
     samples = [dio.preprocess(s, model.config.input_size, model.config.input_channels)
-               for s in positives + negatives]
+               for group in dio.load_dataset(args.data)[:2] for s in group]
     if not samples:
         raise ValueError(f"dataset '{args.data}' holds no samples")
 
@@ -203,10 +208,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     threshold_cfg = _merge_section(dx.ThresholdConfig, {},
                                    {"sample_threshold": args.threshold})
-    try:
-        model = load_checkpoint(args.model)
-    except (OSError, CheckpointError) as exc:
-        raise RuntimeError(f"cannot load model '{args.model}': {exc}") from exc
+    model = _load_model(args.model)
     sample = dio.preprocess(dio.load_image(args.image), model.config.input_size,
                             model.config.input_channels)
     result = dx.diagnose(model, sample.id, sample.pixels, threshold_cfg,
@@ -220,17 +222,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    errs = gc.run_suite(args.seed, inject_fault=args.inject_fault)
+    errs = gc.run_suite(args.seed)
+    failing = [name for name in sorted(errs) if errs[name] >= gc.tolerance(name)]
     width = max(len(name) for name in errs)
     for name in sorted(errs):
-        tol = gc.MODEL_TOL if name == "model" else gc.PRIMITIVE_TOL
-        status = "ok" if errs[name] < tol else "FAIL"
+        status = "FAIL" if name in failing else "ok"
         print(f"{name:<{width}}  {errs[name]:.3e}  {status}")
-    if gc.suite_passes(errs):
+    if not failing:
         return 0
-    failing = [n for n, e in errs.items()
-               if e >= (gc.MODEL_TOL if n == "model" else gc.PRIMITIVE_TOL)]
-    print(f"gradient check FAILED for: {', '.join(sorted(failing))}", file=sys.stderr)
+    print(f"gradient check FAILED for: {', '.join(failing)}", file=sys.stderr)
     return 1
 
 
@@ -282,13 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="score one image")
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--threshold", type=float, default=50.0)
+    p.add_argument("--threshold", type=float, help="sample MSE threshold (default 50)")
     p.add_argument("--mask-out", help="write the binarized error map here (PGM)")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", metavar="OP", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class DiagnosisResult:
     label: str
     mask: np.ndarray | None = None
     mask_path: str | None = None
-    reconstruction: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_line(self) -> str:
         payload = {"id": self.id, "score": self.score, "label": self.label}
@@ -72,14 +71,22 @@ def reconstruct(model: CatUNetModel, sample: np.ndarray) -> np.ndarray:
     return out.data[0]
 
 
-def score_from_pair(sample: np.ndarray, reconstruction: np.ndarray) -> float:
+def error_map(sample: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
+    """The per-pixel squared error on the 0-255 scale, float64, with the
+    channels averaged into one spatial map: the single error definition
+    behind the score, the error mask and pixel-threshold calibration."""
     x = np.asarray(sample, dtype=np.float64)
     y = np.asarray(reconstruction, dtype=np.float64)
     if x.shape != y.shape:
         raise T.ShapeError(f"sample shape {x.shape} does not match "
                            f"reconstruction shape {y.shape}")
-    d = INTENSITY_SCALE * (x - y)
-    return float(np.mean(d * d))
+    e = (INTENSITY_SCALE * (x - y)) ** 2
+    return e.mean(axis=0) if e.ndim == 3 else e
+
+
+def score_from_pair(sample: np.ndarray, reconstruction: np.ndarray) -> float:
+    """The mean of the error map."""
+    return float(np.mean(error_map(sample, reconstruction)))
 
 
 def classify(value: float, config: ThresholdConfig) -> str:
@@ -116,16 +123,9 @@ def otsu_threshold(values: np.ndarray) -> float:
 
 def error_mask(sample: np.ndarray, reconstruction: np.ndarray,
                config: ThresholdConfig) -> np.ndarray:
-    """Binarize the per-pixel squared-error map: 1 where the error is at
-    or above the pixel threshold (Otsu-chosen when unset)."""
-    x = np.asarray(sample, dtype=np.float64)
-    y = np.asarray(reconstruction, dtype=np.float64)
-    if x.shape != y.shape:
-        raise T.ShapeError(f"sample shape {x.shape} does not match "
-                           f"reconstruction shape {y.shape}")
-    e = (INTENSITY_SCALE * (x - y)) ** 2
-    if e.ndim == 3:
-        e = e.mean(axis=0)  # collapse channels to the spatial map
+    """Binarize the error map: 1 where the error is at or above the pixel
+    threshold (Otsu-chosen when unset)."""
+    e = error_map(sample, reconstruction)
     t_px = config.pixel_threshold
     if t_px is None:
         t_px = otsu_threshold(e)
@@ -149,8 +149,7 @@ def diagnose(model: CatUNetModel, sample_id: str, sample: np.ndarray,
                          "reconstruction is not finite")
     label = classify(value, config)
     mask = error_mask(x, recon, config) if with_mask else None
-    return DiagnosisResult(id=sample_id, score=value, label=label, mask=mask,
-                           reconstruction=recon)
+    return DiagnosisResult(id=sample_id, score=value, label=label, mask=mask)
 
 
 def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
@@ -158,9 +157,11 @@ def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
     """Diagnose each sample and fold the results into metrics; the one
     evaluation path of `catunet evaluate` and the end-to-end gates.
 
-    A mask is made only with `with_masks` and a `truth_mask`. Dice is over
-    the masked samples (None when there are none), confusion over those
-    with a `truth_label`, reconstruction accuracy over all of them.
+    A mask is made only with `with_masks` and a `truth_mask`; no
+    reconstruction outlives its `diagnose` call. Dice is over the masked
+    samples (None when there are none), confusion over those with a
+    `truth_label`, reconstruction accuracy over all of them: one minus
+    the mean score, rescaled to the normalized [0,1] range.
     """
     results = [diagnose(model, s.id, s.pixels, config,
                         with_mask=with_masks and s.truth_mask is not None)
@@ -171,7 +172,7 @@ def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
                if s.truth_label is not None]
     return results, mx.MetricsReport(
         reconstruction_accuracy=mx.reconstruction_accuracy(
-            [s.pixels for s in samples], [r.reconstruction for r in results]),
+            [r.score / INTENSITY_SCALE ** 2 for r in results]),
         dice=(float(np.mean(dices)) if dices else None),
         confusion=mx.confusion([p for p, _ in labeled], [a for _, a in labeled]),
     )

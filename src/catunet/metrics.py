@@ -71,25 +71,13 @@ def confusion(predicted, actual) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def reconstruction_accuracy(originals, reconstructions) -> float:
-    """One minus the mean per-image MSE on normalized [0,1] images,
+def reconstruction_accuracy(mses) -> float:
+    """One minus the mean of per-image MSEs on normalized [0,1] images,
     clamped into [0,1] (a warning notes any clamping)."""
-    originals = list(originals)
-    reconstructions = list(reconstructions)
-    if not originals:
-        raise ValueError("reconstruction_accuracy needs at least one image pair")
-    if len(originals) != len(reconstructions):
-        raise ValueError(f"{len(originals)} originals but "
-                         f"{len(reconstructions)} reconstructions")
-    total = 0.0
-    for i, (a, b) in enumerate(zip(originals, reconstructions)):
-        x = np.asarray(a, dtype=np.float64)
-        y = np.asarray(b, dtype=np.float64)
-        if x.shape != y.shape:
-            raise ValueError(f"pair {i}: original shape {x.shape} does not "
-                             f"match reconstruction shape {y.shape}")
-        total += float(np.mean((x - y) ** 2))
-    acc = 1.0 - total / len(originals)
+    mses = [float(m) for m in mses]
+    if not mses:
+        raise ValueError("reconstruction_accuracy needs at least one image MSE")
+    acc = 1.0 - sum(mses) / len(mses)
     if acc < 0.0:
         logger.warning("reconstruction accuracy %.6g is negative; clamping to 0", acc)
         return 0.0

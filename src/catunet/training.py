@@ -154,22 +154,16 @@ def loss(model: CatUNetModel, batch: T.Tensor, reg_weight: float = 0.0,
     return T.add(mse_t, T.scale(_parameter_l2(model), reg_weight)), mse_t
 
 
-def collect_gradients(model: CatUNetModel) -> dict[str, np.ndarray]:
-    grads = {}
-    for name, p in model.parameters.items():
-        if p.grad is None:
-            raise ValueError(f"parameter '{name}' has no gradient; run backward first")
-        grads[name] = p.grad
-    return grads
+def sgd_step(model: CatUNetModel, lr: float) -> None:
+    """In-place update: theta <- theta - lr * grad, for every parameter.
 
-
-def sgd_step(model: CatUNetModel, gradients: dict[str, np.ndarray], lr: float) -> None:
-    """In-place update: theta <- theta - lr * grad, for every parameter."""
-    for name, p in model.parameters.items():
-        g = gradients.get(name)
-        if g is None:
-            raise ValueError(f"no gradient supplied for parameter '{name}'")
-        p.data -= (lr * np.asarray(g)).astype(p.data.dtype, copy=False)
+    Every parameter must hold a gradient; otherwise none is updated.
+    """
+    missing = [name for name, p in model.parameters.items() if p.grad is None]
+    if missing:
+        raise ValueError(f"parameter '{missing[0]}' has no gradient; run backward first")
+    for p in model.parameters.values():
+        p.data -= (lr * p.grad).astype(p.data.dtype, copy=False)
 
 
 def schedule_update(state: SchedulerState, val_loss: float,
@@ -261,7 +255,7 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
                     f"batch {start // config.batch_size + 1}")
             model.zero_grad()
             T.backward(loss_t)
-            sgd_step(model, collect_gradients(model), state.current_lr)
+            sgd_step(model, state.current_lr)
             mse_sum += float(mse_t.data) * idx.size
             seen += idx.size
 

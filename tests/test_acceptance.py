@@ -98,8 +98,8 @@ def test_criterion_3_overfit_reconstruction_accuracy(tmp_path):
     model, _ = tr.train(model, data, tr.TrainingConfig(
         learning_rate=0.01, epochs=200, batch_size=8,
         validation_fraction=0.0, seed=0))
-    recons = [dx.reconstruct(model, x) for x in data]
-    acc = mx.reconstruction_accuracy(list(data), recons)
+    _, report = dx.evaluate(model, positives, dx.ThresholdConfig())
+    acc = report.reconstruction_accuracy
     elapsed = time.monotonic() - t0
     assert acc >= 0.98, f"training reconstruction accuracy {acc:.4f} < 0.98"
     assert elapsed < 600, f"overfit fixture took {elapsed:.0f}s"
@@ -129,8 +129,7 @@ def _end_to_end(root: str) -> dict:
         [dx.score_from_pair(s.pixels, r) for s, r in zip(val_samples, val_recons)],
         margin=RECIPE["margin"])
     t_px = dx.calibrate_pixel_threshold(
-        [(dx.INTENSITY_SCALE * (s.pixels[0] - r[0])) ** 2
-         for s, r in zip(val_samples, val_recons)],
+        [dx.error_map(s.pixels, r) for s, r in zip(val_samples, val_recons)],
         [s.truth_mask for s in val_samples])
     threshold_cfg = dx.ThresholdConfig(sample_threshold=threshold,
                                        pixel_threshold=t_px)

@@ -8,6 +8,8 @@ import pytest
 
 from catunet import cli
 from catunet import data_io as dio
+from catunet import diagnosis as dx
+from catunet import gradcheck as gc
 from catunet import tensor as T
 from catunet.model import load_checkpoint, save_checkpoint
 
@@ -210,7 +212,6 @@ class TestEvaluate:
             printed = capsys.readouterr().out.rstrip("\n")
             assert printed == by_id[json.loads(printed)["id"]]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
                                                 tmp_path, capsys):
         code = cli.main(["evaluate", "--model", overflow_model, "--data",
@@ -248,8 +249,15 @@ class TestDiagnose:
                          "--image", image]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["id"] == "pos_000"
-        assert payload["label"] in ("Positive", "Negative")
         assert payload["score"] >= 0
+        # no --threshold: ThresholdConfig's default applies
+        assert payload["label"] == dx.classify(payload["score"], dx.ThresholdConfig())
+
+    def test_unreadable_model_is_runtime_error(self, workspace, tmp_path, capsys):
+        image = os.path.join(workspace["data"], "positive", "pos_000.pgm")
+        assert cli.main(["diagnose", "--model", str(tmp_path / "no.catu"),
+                         "--image", image]) == 1
+        assert "cannot load model" in capsys.readouterr().err
 
     def test_repeat_runs_identical(self, workspace, capsys):
         image = os.path.join(workspace["data"], "negative", "neg_000.pgm")
@@ -279,7 +287,6 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert "sample_threshold" in err and "--help" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
                                                 tmp_path, capsys):
         image = os.path.join(workspace["data"], "negative", "neg_002.pgm")
@@ -301,12 +308,20 @@ class TestGradcheck:
         assert "conv2d" in out and "model" in out
         assert "FAIL" not in out
 
-    def test_fault_injection_fails_naming_op(self, capsys):
-        assert cli.main(["gradcheck", "--seed", "0",
-                         "--inject-fault", "conv2d"]) == 1
+    def test_fault_injection_fails_naming_op(self, monkeypatch, capsys):
+        # conv2d over its 1e-4 bound fails; the model's 5e-4 is under 1e-3
+        monkeypatch.setattr(gc, "run_suite",
+                            lambda seed: {"conv2d": 2e-4, "relu": 1e-6, "model": 5e-4})
+        assert cli.main(["gradcheck", "--seed", "0"]) == 1
         captured = capsys.readouterr()
-        assert "conv2d" in captured.err
-        assert "FAIL" in captured.out
+        assert captured.err == "gradient check FAILED for: conv2d\n"
+        assert [line.split()[-1] for line in captured.out.splitlines()] == [
+            "FAIL", "ok", "ok"]
+
+    def test_inject_fault_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["gradcheck", "--inject-fault", "conv2d"])
+        assert err.value.code == 2
 
 
 class TestLogging:

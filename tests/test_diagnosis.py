@@ -8,6 +8,7 @@ import pytest
 
 from catunet import diagnosis as dx
 from catunet import tensor as T
+from catunet.data_io import ImageSample
 from catunet.metrics import confusion, dice as mx_dice
 from catunet.model import CatUNetConfig, build
 from catunet.rng import Rng
@@ -45,6 +46,35 @@ class TestScore:
         assert dx.diagnose(net, "s", img, cfg).score >= 0.0
         with pytest.raises(T.ShapeError):
             dx.diagnose(net, "s", np.zeros((1, 4, 4), dtype=np.float32), cfg)
+
+
+class TestErrorMap:
+    def test_score_and_mask_read_the_map_bit_for_bit(self):
+        gen = np.random.default_rng(11)
+        img = gen.uniform(0, 1, (1, 12, 12)).astype(np.float32)
+        recon = gen.uniform(0, 1, (1, 12, 12)).astype(np.float32)
+        e = dx.error_map(img, recon)
+        assert e.dtype == np.float64 and e.shape == (12, 12)
+        d = dx.INTENSITY_SCALE * (img.astype(np.float64) - recon.astype(np.float64))
+        npt.assert_array_equal(e, (d * d)[0])
+        assert dx.score_from_pair(img, recon) == float(np.mean(d * d))
+        assert dx.score_from_pair(img, recon) == float(np.mean(e))
+        for t in (None, float(np.median(e))):
+            cut = dx.otsu_threshold(e) if t is None else t
+            mask = dx.error_mask(img, recon, dx.ThresholdConfig(pixel_threshold=t))
+            npt.assert_array_equal(mask, (e >= cut).astype(np.uint8))
+
+    def test_channels_averaged_into_one_map(self):
+        img = np.zeros((3, 4, 4))
+        recon = np.zeros((3, 4, 4))
+        recon[1, 2, 3] = 3.0 / 255.0  # squared error 9 in one channel
+        e = dx.error_map(img, recon)
+        assert e.shape == (4, 4)
+        assert e[2, 3] == 3.0 and e.sum() == 3.0
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(T.ShapeError, match="does not match"):
+            dx.error_map(np.zeros((1, 4, 4)), np.zeros((1, 4, 5)))
 
 
 class TestClassify:
@@ -167,7 +197,6 @@ class TestDiagnose:
         result = dx.diagnose(net, "s", img, cfg, with_mask=True)
         recon = dx.reconstruct(net, img[None])
         value = dx.score_from_pair(img[None], recon)
-        npt.assert_array_equal(result.reconstruction, recon)
         assert result.score == value
         assert result.label == dx.classify(value, cfg)
         npt.assert_array_equal(result.mask, dx.error_mask(img[None], recon, cfg))
@@ -181,6 +210,60 @@ class TestDiagnose:
         img = np.random.default_rng(10).uniform(0, 1, (1, 8, 8)).astype(np.float32)
         with pytest.raises(ValueError, match="sample 'bad_07'"):
             dx.diagnose(net, "bad_07", img, dx.ThresholdConfig())
+
+
+def _reachable_arrays(root) -> list:
+    """Every ndarray reachable from `root` through containers and attributes."""
+    found, stack, seen = [], [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestEvaluate:
+    def samples(self, n=6):
+        gen = np.random.default_rng(12)
+        out = []
+        for i in range(n):
+            mask = np.zeros((8, 8), dtype=np.uint8)
+            mask[2:5, 3:6] = 1
+            out.append(ImageSample(id=f"s{i}",
+                                   pixels=gen.uniform(0, 1, (1, 8, 8)).astype(np.float32),
+                                   truth_label="Positive" if i % 2 else "Negative",
+                                   truth_mask=mask))
+        return out
+
+    def test_holds_no_image_sized_array_without_masks(self):
+        outcome = dx.evaluate(tiny_model(seed=7), self.samples(),
+                              dx.ThresholdConfig(sample_threshold=2000.0))
+        assert _reachable_arrays(outcome) == []
+
+    def test_holds_only_the_masks_with_masks(self):
+        samples = self.samples()
+        results, report = dx.evaluate(tiny_model(seed=7), samples,
+                                      dx.ThresholdConfig(pixel_threshold=100.0),
+                                      with_masks=True)
+        held = _reachable_arrays((results, report))
+        assert len(held) == len(samples)
+        assert all(a.shape == (8, 8) and a.dtype == np.uint8 for a in held)
+        assert report.dice is not None
+
+    def test_accuracy_is_one_minus_mean_normalized_score(self):
+        results, report = dx.evaluate(tiny_model(seed=7), self.samples(),
+                                      dx.ThresholdConfig())
+        mses = [r.score / dx.INTENSITY_SCALE ** 2 for r in results]
+        assert report.reconstruction_accuracy == max(0.0, 1.0 - sum(mses) / len(mses))
 
 
 class TestCalibration:

@@ -10,49 +10,43 @@ from catunet import metrics as mx
 
 
 class TestReconstructionAccuracy:
+    """Input is one MSE per image on the normalized [0,1] scale."""
+
     def test_perfect_pairs_give_one(self):
-        imgs = [np.random.default_rng(i).uniform(0, 1, (8, 8)) for i in range(3)]
-        assert mx.reconstruction_accuracy(imgs, [i.copy() for i in imgs]) == 1.0
+        assert mx.reconstruction_accuracy([0.0, 0.0, 0.0]) == 1.0
 
     def test_uniform_mse_002_gives_098(self):
-        # per-image MSE of 0.02: offset every pixel by sqrt(0.02)
-        offset = np.sqrt(0.02)
-        imgs = [np.full((10, 10), 0.5) for _ in range(4)]
-        recs = [img + offset for img in imgs]
-        assert mx.reconstruction_accuracy(imgs, recs) == pytest.approx(0.98)
+        assert mx.reconstruction_accuracy([0.02] * 4) == pytest.approx(0.98)
 
     def test_matches_scalar_oracle(self):
         gen = np.random.default_rng(2)
         imgs = [gen.uniform(0, 1, (5, 7)) for _ in range(3)]
         recs = [gen.uniform(0, 1, (5, 7)) for _ in range(3)]
-        total = 0.0
+        mses = []
         for a, b in zip(imgs, recs):
             se = 0.0
             for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
                 se += (x - y) ** 2
-            total += se / a.size
-        ref = 1.0 - total / 3
-        got = mx.reconstruction_accuracy(imgs, recs)
-        assert abs(got - max(ref, 0.0)) < 1e-6
+            mses.append(se / a.size)
+        ref = 1.0 - sum(mses) / 3
+        got = mx.reconstruction_accuracy(np.mean((np.stack(imgs) - np.stack(recs)) ** 2,
+                                                  axis=(1, 2)))
+        assert abs(got - max(ref, 0.0)) < 1e-12
 
     def test_negative_clamped_with_warning(self, caplog):
-        img = [np.zeros((4, 4))]
-        rec = [np.full((4, 4), 2.0)]  # MSE 4 -> raw accuracy -3
         with caplog.at_level(logging.WARNING, logger="catunet.metrics"):
-            assert mx.reconstruction_accuracy(img, rec) == 0.0
+            assert mx.reconstruction_accuracy([4.0]) == 0.0  # raw accuracy -3
         assert any("clamping" in r.message for r in caplog.records)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            mx.reconstruction_accuracy([], [])
+            mx.reconstruction_accuracy([])
 
     def test_perturbation_strictly_decreases(self):
-        gen = np.random.default_rng(9)
-        imgs = [gen.uniform(0, 1, (6, 6)) for _ in range(2)]
-        recs = [i.copy() for i in imgs]
-        base = mx.reconstruction_accuracy(imgs, recs)
-        recs[1][3, 3] += 0.1
-        assert mx.reconstruction_accuracy(imgs, recs) < base
+        mses = [0.001, 0.002]
+        base = mx.reconstruction_accuracy(mses)
+        mses[1] += 1e-4
+        assert mx.reconstruction_accuracy(mses) < base
 
 
 class TestDice:

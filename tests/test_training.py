@@ -95,29 +95,38 @@ class TestLoss:
 
 
 class TestSgdStep:
+    @staticmethod
+    def set_grads(net, grads):
+        for k, p in net.parameters.items():
+            p.grad = grads[k]
+
     def test_single_parameter_update(self):
         net = tiny_model()
         p = net.parameters["enc0_conv1_w"]
         p.data[...] = 1.0
         grads = {k: np.zeros_like(q.data) for k, q in net.parameters.items()}
         grads["enc0_conv1_w"] = np.full_like(p.data, 0.5)
-        tr.sgd_step(net, grads, 0.01)
+        self.set_grads(net, grads)
+        tr.sgd_step(net, 0.01)
         npt.assert_allclose(p.data, 0.995)
 
     def test_zero_lr_is_identity(self):
         net = tiny_model(seed=4)
         before = {k: p.data.copy() for k, p in net.parameters.items()}
-        grads = {k: np.ones_like(p.data) for k, p in net.parameters.items()}
-        tr.sgd_step(net, grads, 0.0)
+        self.set_grads(net, {k: np.ones_like(p.data) for k, p in net.parameters.items()})
+        tr.sgd_step(net, 0.0)
         for k, p in net.parameters.items():
             npt.assert_array_equal(p.data, before[k])
 
     def test_missing_gradient_names_parameter(self):
         net = tiny_model()
-        grads = {k: np.zeros_like(p.data) for k, p in net.parameters.items()}
-        del grads["out_w"]
+        before = {k: p.data.copy() for k, p in net.parameters.items()}
+        self.set_grads(net, {k: np.ones_like(p.data) for k, p in net.parameters.items()})
+        net.parameters["out_w"].grad = None
         with pytest.raises(ValueError, match="out_w"):
-            tr.sgd_step(net, grads, 0.1)
+            tr.sgd_step(net, 0.1)
+        for k, p in net.parameters.items():  # no parameter was updated
+            npt.assert_array_equal(p.data, before[k])
 
     def test_two_steps_equal_one_summed_step(self):
         a = tiny_model(seed=7)
@@ -127,17 +136,20 @@ class TestSgdStep:
               for k, p in a.parameters.items()}
         g2 = {k: gen.normal(size=p.data.shape).astype(np.float32)
               for k, p in a.parameters.items()}
-        tr.sgd_step(a, g1, 0.01)
-        tr.sgd_step(a, g2, 0.01)
-        tr.sgd_step(b, {k: g1[k] + g2[k] for k in g1}, 0.01)
+        self.set_grads(a, g1)
+        tr.sgd_step(a, 0.01)
+        self.set_grads(a, g2)
+        tr.sgd_step(a, 0.01)
+        self.set_grads(b, {k: g1[k] + g2[k] for k in g1})
+        tr.sgd_step(b, 0.01)
         for k in a.parameters:
             npt.assert_allclose(a.parameters[k].data, b.parameters[k].data,
                                 rtol=0, atol=1e-6)
 
-    def test_collect_gradients_requires_backward(self):
+    def test_step_without_backward_names_parameter(self):
         net = tiny_model()
         with pytest.raises(ValueError, match="enc0_conv1_w"):
-            tr.collect_gradients(net)
+            tr.sgd_step(net, 0.01)
 
 
 class TestScheduleUpdate:
@@ -214,7 +226,7 @@ class TestTrain:
         before, _ = tr.loss(net, xb)
         net.zero_grad()
         T.backward(before)
-        tr.sgd_step(net, tr.collect_gradients(net), 1e-4)
+        tr.sgd_step(net, 1e-4)
         after, _ = tr.loss(net, xb)
         assert float(after.data) < float(before.data)
 
