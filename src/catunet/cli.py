@@ -74,17 +74,32 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _merge_section(cls, file_section: dict, overrides: dict):
-    """Instantiate a config dataclass from file values plus flag overrides."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(file_section) - known
+def _merge_section(cls, file_cfg: dict, section: str, overrides: dict):
+    """Instantiate a config dataclass from one file section plus flag
+    overrides.
+
+    A file value must be a JSON number of its field's kind: an integer
+    where the default is an int, any number otherwise (every other
+    default is a float or, for an optional float, None).
+    """
+    file_section = file_cfg.get(section, {})
+    if not isinstance(file_section, dict):
+        raise UsageError(f"config section '{section}' must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(file_section) - set(defaults)
     if unknown:
         raise UsageError(f"unknown {cls.__name__} keys in config file: {sorted(unknown)}")
+    for key, value in file_section.items():
+        kinds = (int,) if type(defaults[key]) is int else (int, float)
+        if type(value) not in kinds:  # bool is an int subclass; refuse it
+            kind = "an integer" if kinds == (int,) else "a number"
+            raise UsageError(f"config key '{section}.{key}' must be {kind}, "
+                             f"got {value!r}")
     merged = dict(file_section)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**merged)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an integer beyond float range
         raise UsageError(str(exc)) from exc
 
 
@@ -126,15 +141,11 @@ def _load_positives_stack(root: str, size: int, channels: int) -> np.ndarray:
 
 def cmd_train(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    model_cfg = _merge_section(CatUNetConfig, file_cfg.get("model", {}), {
+    model_cfg = _merge_section(CatUNetConfig, file_cfg, "model", {
         "input_size": args.size, "depth": args.depth,
         "base_channels": args.base, "dropout_rate": args.dropout,
     })
-    if model_cfg.output_channels != model_cfg.input_channels:
-        raise UsageError(f"output_channels ({model_cfg.output_channels}) must equal "
-                         f"input_channels ({model_cfg.input_channels}): the model "
-                         "reconstructs its input")
-    train_cfg = _merge_section(TrainingConfig, file_cfg.get("training", {}), {
+    train_cfg = _merge_section(TrainingConfig, file_cfg, "training", {
         "epochs": args.epochs, "batch_size": args.batch,
         "learning_rate": args.lr, "seed": args.seed,
     })
@@ -168,7 +179,7 @@ def _load_model(path: str):
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    threshold_cfg = _merge_section(dx.ThresholdConfig, file_cfg.get("threshold", {}), {
+    threshold_cfg = _merge_section(dx.ThresholdConfig, file_cfg, "threshold", {
         "sample_threshold": args.threshold,
         "pixel_threshold": args.pixel_threshold,
     })
@@ -206,7 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    threshold_cfg = _merge_section(dx.ThresholdConfig, {},
+    threshold_cfg = _merge_section(dx.ThresholdConfig, {}, "threshold",
                                    {"sample_threshold": args.threshold})
     model = _load_model(args.model)
     sample = dio.preprocess(dio.load_image(args.image), model.config.input_size,

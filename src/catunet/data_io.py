@@ -95,7 +95,8 @@ class SynthConfig:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Decode a binary (P5) PGM file into a 2-d uint8 array."""
+    """Decode a binary (P5) PGM file into a 2-d uint8 array on the 0-255
+    scale, whatever the file's maxval."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -142,7 +143,14 @@ def read_pgm(path: str) -> np.ndarray:
     if len(data) != width * height:
         raise ValueError(f"'{path}' is truncated: expected {width * height} "
                          f"raster bytes, found {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    raster = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    if maxval < 255:
+        # callers read 0-255 intensities, so a lower maxval is rescaled
+        if raster.max() > maxval:
+            raise ValueError(f"'{path}' has a raster value {raster.max()} "
+                             f"above its maxval {maxval}")
+        raster = np.round(raster * 255.0 / maxval).astype(np.uint8)
+    return raster
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:

@@ -29,10 +29,15 @@ class ThresholdConfig:
     pixel_threshold: float | None = None  # None -> Otsu per error map
 
     def __post_init__(self) -> None:
-        if self.sample_threshold < 0:
-            raise ValueError(f"sample_threshold must be >= 0, got {self.sample_threshold}")
-        if self.pixel_threshold is not None and self.pixel_threshold < 0:
-            raise ValueError(f"pixel_threshold must be >= 0, got {self.pixel_threshold}")
+        # a NaN passes every comparison as False, so it would label all
+        # samples Negative instead of failing
+        if not (math.isfinite(self.sample_threshold) and self.sample_threshold >= 0):
+            raise ValueError("sample_threshold must be finite and >= 0, "
+                             f"got {self.sample_threshold}")
+        if self.pixel_threshold is not None and not (
+                math.isfinite(self.pixel_threshold) and self.pixel_threshold >= 0):
+            raise ValueError("pixel_threshold must be finite and >= 0, "
+                             f"got {self.pixel_threshold}")
 
 
 @dataclass

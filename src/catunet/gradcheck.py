@@ -108,13 +108,6 @@ def primitive_checks(seed: int = 0) -> Dict[str, float]:
     mb = _f64(gen, (3, 5))
     errs["mse"] = grad_check(lambda: T.mse(ma, mb), [ma, mb])
 
-    aa = _f64(gen, (4, 4))
-    ab = _f64(gen, (4, 4))
-    atgt = T.Tensor(gen.uniform(-1, 1, (4, 4)).astype(np.float64))
-    errs["add"] = grad_check(lambda: T.mse(T.add(aa, ab), atgt), [aa, ab])
-    errs["scale"] = grad_check(lambda: T.mse(T.scale(aa, 1.7), atgt), [aa])
-    errs["sum_squares"] = grad_check(lambda: T.sum_squares(ab), [ab])
-
     return errs
 
 

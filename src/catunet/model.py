@@ -37,11 +37,8 @@ class CatUNetConfig:
     channel_growth: int = 2
     kernel_size: int = 3
     dropout_rate: float = 0.5
-    output_channels: Optional[int] = None
 
     def __post_init__(self):
-        if self.output_channels is None:
-            self.output_channels = self.input_channels
         self.validate()
 
     def validate(self):
@@ -54,8 +51,6 @@ class CatUNetConfig:
             problems.append(f"channel_growth must be >= 1, got {self.channel_growth}")
         if self.input_channels < 1:
             problems.append(f"input_channels must be >= 1, got {self.input_channels}")
-        if self.output_channels < 1:
-            problems.append(f"output_channels must be >= 1, got {self.output_channels}")
         if self.input_size < 1 or self.input_size % (2 ** self.depth) != 0:
             problems.append(
                 f"input_size must be a positive multiple of 2^depth={2 ** self.depth}, got {self.input_size}")
@@ -78,7 +73,17 @@ class CatUNetConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CatUNetConfig":
-        return cls(**json.loads(text))
+        fields = json.loads(text)
+        if not isinstance(fields, dict):
+            raise ValueError("config must be a JSON object")
+        # Older headers carry output_channels; the output always has the
+        # input's channels, so only that value is accepted.
+        legacy = fields.pop("output_channels", None)
+        config = cls(**fields)
+        if legacy is not None and legacy != config.input_channels:
+            raise ValueError(f"output_channels ({legacy}) must equal "
+                             f"input_channels ({config.input_channels})")
+        return config
 
 
 def parameter_count(config: CatUNetConfig) -> int:
@@ -97,7 +102,7 @@ def parameter_count(config: CatUNetConfig) -> int:
     for c in reversed(enc):
         total += c * (up + c) * k2 + c  # decoder conv after concat
         up = c
-    total += config.output_channels * enc[0] * 1 + config.output_channels
+    total += config.input_channels * enc[0] + config.input_channels
     return total
 
 
@@ -182,7 +187,7 @@ def _parameter_shapes(config: CatUNetConfig) -> List[Tuple[str, Tuple[int, ...]]
         partner = enc[config.depth - kk]
         convs.append((f"dec{kk}", partner, up + partner, k))
         up = partner
-    convs.append(("out", config.output_channels, enc[0], 1))
+    convs.append(("out", config.input_channels, enc[0], 1))
     shapes = []
     for name, cout, cin, ksz in convs:
         shapes += [(f"{name}_w", (cout, cin, ksz, ksz)), (f"{name}_b", (cout,))]

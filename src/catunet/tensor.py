@@ -1,7 +1,6 @@
 """Dense tensors with reverse-mode autodiff over the handful of primitives
 the network needs: convolution, max-pooling, nearest upsampling, channel
-concatenation, ReLU, dropout, and mean-squared-error, plus the elementwise
-add / scale / sum-of-squares used by the regularizer.
+concatenation, ReLU, dropout, and mean-squared-error.
 
 Each operation returns a new Tensor holding a closure that knows how to push
 the output gradient back to its parents; `backward()` walks the recorded
@@ -144,15 +143,6 @@ def backward(loss: Tensor):
     for node in reversed(topo_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def assert_finite(t: Tensor, context: str = ""):
-    if not np.isfinite(t.data).all():
-        where = f" in {context}" if context else ""
-        raise FloatingPointError(f"non-finite values{where}")
-    if t.grad is not None and not np.isfinite(t.grad).all():
-        where = f" in {context}" if context else ""
-        raise FloatingPointError(f"non-finite gradient{where}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +380,3 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
     return _result(val, (a, b), bwd)
 
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
-    out = a.data + b.data
-
-    def bwd(g: np.ndarray):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    return _result(out, (a, b), bwd)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = x.data * c
-
-    def bwd(g: np.ndarray):
-        if x.requires_grad:
-            _accum(x, g * c)
-
-    return _result(out, (x,), bwd)
-
-
-def sum_squares(x: Tensor) -> Tensor:
-    """Scalar sum of squared entries (float64 accumulation)."""
-    xd = x.data.astype(np.float64)
-    val = np.array((xd * xd).sum(), dtype=x.data.dtype)
-
-    def bwd(g: np.ndarray):
-        if x.requires_grad:
-            _accum(x, float(g.reshape(-1)[0]) * 2.0 * x.data)
-
-    return _result(val, (x,), bwd)

@@ -1,9 +1,8 @@
 """Positives-only reconstruction training.
 
 The loop treats every input as its own target, runs plain SGD over the
-MSE objective (optionally plus an L2 parameter penalty), reduces the
-learning rate on validation-loss plateaus, and monitors per-level
-feature norms against an optional bound without ever penalizing them.
+MSE objective, reduces the learning rate on validation-loss plateaus,
+and records per-level feature norms without ever penalizing them.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ logger = logging.getLogger("catunet.training")
 # Absolute improvement a validation loss must beat the best by to count.
 IMPROVEMENT_TOL = 1e-6
 
-SCHEDULE_MODES = ("plateau", "literal_exponential")
-
 
 @dataclass
 class TrainingConfig:
@@ -33,12 +30,8 @@ class TrainingConfig:
     batch_size: int = 8
     decay_rate: float = 0.1
     patience: int = 10
-    reg_weight: float = 0.0
-    feature_bound: float | None = None
-    schedule_mode: str = "plateau"
     validation_fraction: float = 0.2
     seed: int = 0
-    max_train_samples: int | None = 100
 
     def __post_init__(self) -> None:
         problems = []
@@ -53,30 +46,21 @@ class TrainingConfig:
                             f"got {self.validation_fraction}")
         if self.epochs < 0:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            problems.append(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.reg_weight < 0:
-            problems.append(f"reg_weight must be >= 0, got {self.reg_weight}")
-        if self.schedule_mode not in SCHEDULE_MODES:
-            problems.append(f"schedule_mode must be one of {SCHEDULE_MODES}, "
-                            f"got {self.schedule_mode!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            problems.append(f"learning_rate must be positive and finite, "
+                            f"got {self.learning_rate}")
         if problems:
             raise ValueError("invalid training config: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
 class SchedulerState:
-    """Learning-rate controller state.
-
-    `epoch` counts schedule_update calls; only the literal_exponential
-    mode reads it, but keeping it here makes the state self-contained.
-    """
+    """Learning-rate controller state."""
 
     current_lr: float
     best_val_loss: float = math.inf
     epochs_since_improvement: int = 0
     reductions_applied: int = 0
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -131,27 +115,11 @@ def split(dataset: np.ndarray, validation_fraction: float,
     return data[order[: n - n_val]], data[order[n - n_val:]]
 
 
-def _parameter_l2(model: CatUNetModel) -> T.Tensor:
-    total = None
-    for p in model.parameters.values():
-        s = T.sum_squares(p)
-        total = s if total is None else T.add(total, s)
-    return total
-
-
-def loss(model: CatUNetModel, batch: T.Tensor, reg_weight: float = 0.0,
-         training: bool = False, dropout_rng=None) -> tuple[T.Tensor, T.Tensor]:
-    """Reconstruction objective: MSE of the batch against itself plus
-    reg_weight times the sum of squared parameters.
-
-    Returns `(objective, mse)`; they are the same tensor when reg_weight
-    is 0.
-    """
+def loss(model: CatUNetModel, batch: T.Tensor, training: bool = False,
+         dropout_rng=None) -> T.Tensor:
+    """Reconstruction objective: MSE of the batch against itself."""
     out = model.forward(batch, training=training, dropout_rng=dropout_rng)
-    mse_t = T.mse(out, batch)
-    if reg_weight == 0.0:
-        return mse_t, mse_t
-    return T.add(mse_t, T.scale(_parameter_l2(model), reg_weight)), mse_t
+    return T.mse(out, batch)
 
 
 def sgd_step(model: CatUNetModel, lr: float) -> None:
@@ -171,30 +139,16 @@ def schedule_update(state: SchedulerState, val_loss: float,
     """Advance the learning-rate controller by one epoch's validation loss."""
     if not math.isfinite(val_loss):
         raise ValueError(f"validation loss must be finite, got {val_loss}")
-    t = state.epoch
-    improved = val_loss < state.best_val_loss - IMPROVEMENT_TOL
-
-    if config.schedule_mode == "literal_exponential":
-        # Multiplicative decay every epoch by gamma^floor(t / patience);
-        # inert for the first `patience` epochs, then collapses quickly.
-        new_lr = state.current_lr * config.decay_rate ** (t // config.patience)
-        return replace(state, current_lr=new_lr, epoch=t + 1,
-                       best_val_loss=val_loss if improved else state.best_val_loss,
-                       epochs_since_improvement=0 if improved else
-                       state.epochs_since_improvement + 1)
-
-    if improved:
-        return replace(state, best_val_loss=val_loss,
-                       epochs_since_improvement=0, epoch=t + 1)
+    if val_loss < state.best_val_loss - IMPROVEMENT_TOL:
+        return replace(state, best_val_loss=val_loss, epochs_since_improvement=0)
     counter = state.epochs_since_improvement + 1
     if counter >= config.patience:
         r = state.reductions_applied + 1
         # Recompute from the base rate so current_lr is exactly
         # learning_rate * decay_rate ** reductions_applied.
         return replace(state, epochs_since_improvement=0, reductions_applied=r,
-                       current_lr=config.learning_rate * config.decay_rate ** r,
-                       epoch=t + 1)
-    return replace(state, epochs_since_improvement=counter, epoch=t + 1)
+                       current_lr=config.learning_rate * config.decay_rate ** r)
+    return replace(state, epochs_since_improvement=counter)
 
 
 def evaluate_mse(model: CatUNetModel, data: np.ndarray, batch_size: int) -> float:
@@ -226,10 +180,6 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
     dropout = rng.stream("dropout") if model.config.dropout_rate > 0 else None
 
     train_x, val_x = split(data, config.validation_fraction, shuffle)
-    if config.max_train_samples is not None and train_x.shape[0] > config.max_train_samples:
-        logger.warning("training set has %d samples, above the recommended "
-                       "ceiling of %d; continuing with all of them",
-                       train_x.shape[0], config.max_train_samples)
     if val_x.shape[0] == 0:
         logger.info("validation split is empty; plateau scheduling will "
                     "follow the training loss instead")
@@ -246,8 +196,7 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
         for start in range(0, n_train, config.batch_size):
             idx = order[start: start + config.batch_size]
             xb = T.Tensor(train_x[idx])
-            loss_t, mse_t = loss(model, xb, config.reg_weight, training=True,
-                                 dropout_rng=dropout)
+            loss_t = loss(model, xb, training=True, dropout_rng=dropout)
             lv = float(loss_t.data)
             if not math.isfinite(lv):
                 raise RuntimeError(
@@ -256,7 +205,7 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
             model.zero_grad()
             T.backward(loss_t)
             sgd_step(model, state.current_lr)
-            mse_sum += float(mse_t.data) * idx.size
+            mse_sum += lv * idx.size
             seen += idx.size
 
         train_loss = mse_sum / seen
@@ -267,13 +216,6 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
 
         norms = feature_norm(model, T.Tensor(probe))
         max_norm = max(norms) if norms else 0.0
-        if config.feature_bound is not None and max_norm > config.feature_bound:
-            logger.warning("max feature norm %.6g exceeds bound %.6g at epoch %d",
-                           max_norm, config.feature_bound, epoch)
-        if config.reg_weight != 0.0:
-            logger.debug("epoch %d penalty term %.6g", epoch,
-                         config.reg_weight * float(_parameter_l2(model).data))
-
         report.records.append(EpochRecord(
             epoch=epoch, train_loss=train_loss, val_loss=val_loss,
             lr=state.current_lr, feature_norms=tuple(norms)))

@@ -53,28 +53,30 @@ def test_conv_loss_matches_independent_finite_differences():
 
 def test_two_consumers_accumulate():
     gen = np.random.default_rng(5)
-    x0 = gen.uniform(0.2, 1.0, (3, 3)).astype(np.float32)
-    t1 = gen.uniform(-1, 1, (3, 3)).astype(np.float32)
-    t2 = gen.uniform(-1, 1, (3, 3)).astype(np.float32)
+    x0 = gen.uniform(-1, 1, (1, 1, 3, 3)).astype(np.float32)
+    tgt = T.Tensor(gen.uniform(-1, 1, (1, 2, 3, 3)).astype(np.float32))
 
-    # branch gradients computed on separate graphs
+    def loss(relu_in, direct):
+        return T.mse(T.concat_channels(T.relu(relu_in), direct), tgt)
+
+    # branch gradients computed on separate graphs, the other branch fed
+    # a constant copy
     xa = T.Tensor(x0.copy(), requires_grad=True)
-    T.backward(T.mse(T.relu(xa), T.Tensor(t1)))
+    T.backward(loss(xa, T.Tensor(x0.copy())))
     xb = T.Tensor(x0.copy(), requires_grad=True)
-    T.backward(T.mse(T.scale(xb, 2.0), T.Tensor(t2)))
+    T.backward(loss(T.Tensor(x0.copy()), xb))
 
     # one graph where x feeds both consumers
     x = T.Tensor(x0.copy(), requires_grad=True)
-    combined = T.add(T.mse(T.relu(x), T.Tensor(t1)), T.mse(T.scale(x, 2.0), T.Tensor(t2)))
-    T.backward(combined)
+    T.backward(loss(x, x))
     npt.assert_allclose(x.grad, xa.grad + xb.grad, rtol=1e-6)
 
 
 def test_topo_order_inputs_before_consumers():
-    x = T.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    x = T.Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
     y = T.relu(x)
-    z = T.scale(y, 2.0)
-    loss = T.mse(z, T.Tensor(np.zeros((2, 2), dtype=np.float32)))
+    z = T.upsample_nearest(y, 2)
+    loss = T.mse(z, T.Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)))
     order = T.topo_order(loss)
     pos = {id(t): i for i, t in enumerate(order)}
     for node in order:
@@ -177,11 +179,12 @@ class TestGradCheckSuite:
 
     def test_detects_a_wrong_gradient(self):
         # negative control: a deliberately corrupted backward must be caught
+        # (x > 0, so relu passes the gradient through unchanged)
         x = T.Tensor(np.random.default_rng(3).uniform(0.5, 1.0, (2, 2)), requires_grad=True)
         tgt = T.Tensor(np.zeros((2, 2)))
 
         def broken():
-            out = T.scale(x, 2.0)
+            out = T.relu(x)
             good = out._backward
 
             def bad(g):

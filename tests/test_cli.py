@@ -110,7 +110,8 @@ class TestTrain:
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
-            "model": {"input_size": 24, "depth": 1, "base_channels": 2},
+            "model": {"input_size": 24, "depth": 1, "base_channels": 2,
+                      "dropout_rate": 0},  # an integer is a valid float value
             "training": {"epochs": 5, "seed": 2},
         }))
         out = str(tmp_path / "m.catu")
@@ -120,6 +121,7 @@ class TestTrain:
         assert resolved["training"]["epochs"] == 1   # flag wins
         assert resolved["training"]["seed"] == 2     # file wins over default
         assert resolved["model"]["base_channels"] == 2
+        assert resolved["model"]["dropout_rate"] == 0
 
     def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -134,9 +136,40 @@ class TestTrain:
                          workspace["data"], "--config", str(config),
                          "--report", str(tmp_path / "m.json")]) == 2
         assert "intensity_scale" in capsys.readouterr().err
+        # training settings that were deleted are unknown keys now
+        for key in ("reg_weight", "schedule_mode", "feature_bound", "max_train_samples"):
+            config.write_text(json.dumps({"training": {key: 1}}))
+            assert cli.main(["train", "--data", workspace["data"], "--config",
+                             str(config), "--out", str(tmp_path / "m.catu")]) == 2
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("epochs", "2"), ("epochs", 1.5),
+                                            ("learning_rate", True)])
+    def test_wrong_type_config_value_is_usage_error(self, workspace, tmp_path, capsys,
+                                                     key, value):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({"training": {key: value}}))
+        run_dir = tmp_path / "run"
+        code = cli.main(["train", "--data", workspace["data"], "--config", str(config),
+                         "--out", str(run_dir / "m.catu"), "--size", "24",
+                         "--depth", "1", "--base", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'training.{key}'" in err and repr(value) in err
+        assert not run_dir.exists()
+
+    def test_non_finite_lr_is_usage_error(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code = cli.main(["train", "--data", workspace["data"], "--lr", "nan",
+                         "--out", str(run_dir / "m.catu"), "--epochs", "1",
+                         "--size", "24", "--depth", "1", "--base", "2"])
+        assert code == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_output_channels_other_than_input_is_usage_error(self, workspace, tmp_path,
                                                               capsys):
+        # not a key at all: the output always has the input's channels
         config = tmp_path / "out2.json"
         config.write_text(json.dumps({"model": {"output_channels": 2}}))
         run_dir = tmp_path / "run"
@@ -149,10 +182,13 @@ class TestTrain:
 
     def test_malformed_config_file_is_usage_error(self, workspace, tmp_path):
         config = tmp_path / "bad.json"
-        config.write_text("{not json")
-        assert cli.main(["train", "--data", workspace["data"],
-                         "--config", str(config),
-                         "--out", str(tmp_path / "m.catu")]) == 2
+        for text in ("{not json", '{"training": 5}',
+                     # an integer no float can hold
+                     '{"training": {"learning_rate": 1' + "0" * 400 + "}}"):
+            config.write_text(text)
+            assert cli.main(["train", "--data", workspace["data"],
+                             "--config", str(config),
+                             "--out", str(tmp_path / "m.catu")]) == 2
 
     def test_missing_dataset_is_runtime_error(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "absent"),
@@ -241,6 +277,19 @@ class TestEvaluate:
         assert code == 1
         assert "cannot load model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--threshold", "nan"),
+                                             ("--threshold", "inf"),
+                                             ("--pixel-threshold", "nan")])
+    def test_non_finite_threshold_is_usage_error(self, workspace, tmp_path, capsys,
+                                                 flag, value):
+        # a NaN threshold would label every image Negative
+        report = tmp_path / "m.json"
+        assert cli.main(["evaluate", "--model", workspace["model"], "--data",
+                         workspace["data"], "--report", str(report), "--masks",
+                         flag, value]) == 2
+        assert "threshold" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDiagnose:
     def test_prints_score_and_label_json(self, workspace, capsys):
@@ -286,6 +335,17 @@ class TestDiagnose:
                          image, "--threshold", "-1"]) == 2
         err = capsys.readouterr().err
         assert "sample_threshold" in err and "--help" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_is_usage_error(self, workspace, tmp_path, capsys,
+                                                 value):
+        image = os.path.join(workspace["data"], "positive", "pos_000.pgm")
+        mask_path = tmp_path / "mask.pgm"
+        assert cli.main(["diagnose", "--model", workspace["model"], "--image", image,
+                         "--threshold", value, "--mask-out", str(mask_path)]) == 2
+        captured = capsys.readouterr()
+        assert "sample_threshold" in captured.err and captured.out == ""
+        assert not mask_path.exists()
 
     def test_overflowing_model_is_runtime_error(self, overflow_model, workspace,
                                                 tmp_path, capsys):

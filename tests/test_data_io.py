@@ -76,6 +76,19 @@ class TestPgmCodec:
         with pytest.raises(ValueError, match="truncated"):
             dio.read_pgm(path)
 
+    def test_low_maxval_rescaled_to_255(self, tmp_path):
+        path = str(tmp_path / "dim.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n3 1\n15\n" + bytes([0, 5, 15]))
+        assert dio.read_pgm(path).tolist() == [[0, 85, 255]]
+
+    def test_raster_byte_above_maxval_rejected(self, tmp_path):
+        path = str(tmp_path / "over.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n2 1\n15\n" + bytes([15, 16]))
+        with pytest.raises(ValueError, match="over.pgm.*above its maxval 15"):
+            dio.read_pgm(path)
+
     def test_write_rejects_bad_arrays(self, tmp_path):
         path = str(tmp_path / "x.pgm")
         with pytest.raises(ValueError, match="2-d"):
@@ -203,6 +216,24 @@ class TestLoadDataset:
         assert set(masks) == {"a"}
         assert positives[0].truth_mask.sum() == 4
         assert positives[1].truth_mask is None
+
+    def test_maxval_one_mask_matches_its_255_twin(self, tmp_path):
+        # a binary mask saved with maxval 1 must not load as all zeros
+        truth = np.zeros((4, 4), dtype=np.uint8)
+        truth[1:3, 0:2] = 1
+        masks = {}
+        for name, maxval in (("one", 1), ("full", 255)):
+            root = tmp_path / name
+            (root / "positive").mkdir(parents=True)
+            (root / "masks").mkdir()
+            _write_gray(root / "positive" / "a.pgm", 10)
+            with open(root / "masks" / "a.pgm", "wb") as fh:
+                fh.write(f"P5\n4 4\n{maxval}\n".encode("ascii"))
+                fh.write((truth * maxval).astype(np.uint8).tobytes())
+            positives, _, _ = dio.load_dataset(str(root))
+            masks[name] = positives[0].truth_mask
+        assert np.array_equal(masks["one"], truth)
+        assert np.array_equal(masks["one"], masks["full"])
 
     def test_missing_positive_dir_rejected(self, tmp_path):
         (tmp_path / "negative").mkdir()

@@ -1,5 +1,6 @@
 """Network construction, wiring, forward shape law, and checkpoint format."""
 
+import json
 import struct
 
 import numpy as np
@@ -37,10 +38,6 @@ class TestConfig:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel_size"):
             CatUNetConfig(input_size=64, kernel_size=4)
-
-    def test_output_channels_default_to_input(self):
-        cfg = CatUNetConfig(input_channels=3, input_size=64)
-        assert cfg.output_channels == 3
 
     def test_json_roundtrip(self):
         cfg = small_cfg(dropout_rate=0.25)
@@ -124,13 +121,12 @@ class TestForward:
             size = int(2 ** depth * gen.integers(1, 4))
             cfg = CatUNetConfig(input_channels=int(gen.integers(1, 3)), input_size=size,
                                 depth=depth, base_channels=int(gen.integers(1, 5)),
-                                channel_growth=int(gen.integers(1, 3)),
-                                output_channels=int(gen.integers(1, 3)))
+                                channel_growth=int(gen.integers(1, 3)))
             net = build(cfg, Rng(int(gen.integers(0, 100))))
             n = int(gen.integers(1, 3))
             x = T.Tensor(gen.uniform(0, 1, (n, cfg.input_channels, size, size)).astype(np.float32))
             out = net.forward(x)
-            assert out.shape == (n, cfg.output_channels, size, size)
+            assert out.shape == x.shape
 
 
 class TestFeatureNorm:
@@ -210,6 +206,29 @@ class TestCheckpoint:
         cfg = small_cfg(base_channels=10 ** 9).to_json().encode("utf-8")
         open(path, "wb").write(raw[:8] + struct.pack("<I", len(cfg)) + cfg + raw[12 + cfg_len:])
         with pytest.raises(CheckpointError, match="config implies"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _save_with_output_channels(path, value):
+        """Save a small model whose header carries an output_channels key."""
+        net = build(small_cfg(), Rng(0))
+        save_checkpoint(net, path)
+        raw = open(path, "rb").read()
+        (cfg_len,) = struct.unpack("<I", raw[8:12])
+        fields = dict(json.loads(raw[12:12 + cfg_len]), output_channels=value)
+        cfg = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        open(path, "wb").write(raw[:8] + struct.pack("<I", len(cfg)) + cfg + raw[12 + cfg_len:])
+        return net
+
+    def test_legacy_output_channels_equal_to_input_loads(self, tmp_path):
+        path = str(tmp_path / "m.catu")
+        net = self._save_with_output_channels(path, 1)
+        assert load_checkpoint(path).config == net.config
+
+    def test_output_channels_other_than_input_raises_load_error(self, tmp_path):
+        path = str(tmp_path / "m.catu")
+        self._save_with_output_channels(path, 2)
+        with pytest.raises(CheckpointError, match="output_channels"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -245,10 +245,9 @@ class TestUpsampleNearest:
     def test_backward_sums_blocks(self):
         x = tensor(np.arange(4).reshape(1, 1, 2, 2), requires_grad=True)
         out = T.upsample_nearest(x, 2)
-        # drive backward with an all-ones upstream gradient
-        loss = T.scale(T.mse(out, T.Tensor(out.data - 1.0)), out.data.size / 2.0)
-        T.backward(loss)
-        npt.assert_allclose(x.grad[0, 0], [[4.0, 4.0], [4.0, 4.0]], atol=1e-6)
+        # every output's gradient is 2 * 1 / 16, and each input feeds 4
+        T.backward(T.mse(out, T.Tensor(out.data - 1.0)))
+        npt.assert_allclose(x.grad[0, 0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-6)
 
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -299,11 +298,10 @@ class TestRelu:
         assert not T.relu(tensor(-np.ones((3, 3)))).data.any()
 
     def test_gradient_passes_above_zero(self):
-        # loss gradient w.r.t. relu(x) is 0.5 * 2 * (3 - 2) = 1
+        # loss gradient w.r.t. relu(x) is 2 * (3 - 2) = 2
         x = tensor([3.0], requires_grad=True)
-        loss = T.scale(T.mse(T.relu(x), tensor([2.0])), 0.5)
-        T.backward(loss)
-        npt.assert_allclose(x.grad, [1.0], atol=1e-6)
+        T.backward(T.mse(T.relu(x), tensor([2.0])))
+        npt.assert_allclose(x.grad, [2.0], atol=1e-6)
 
     def test_subgradient_zero_at_zero(self):
         x = tensor([0.0, -1.0], requires_grad=True)
@@ -377,7 +375,8 @@ def test_forward_stays_finite_on_bounded_inputs():
     loss = T.mse(T.concat_channels(up, out), T.Tensor(np.zeros((2, 6, 8, 8), dtype=np.float32)))
     T.backward(loss)
     for t in (out, pooled, up, loss, x, w, b):
-        T.assert_finite(t)
+        assert np.isfinite(t.data).all()
+        assert t.grad is None or np.isfinite(t.grad).all()
 
 
 def test_fixed_seed_bitwise_reproducible():
