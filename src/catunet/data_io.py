@@ -41,51 +41,27 @@ class ImageSample:
     truth_mask: np.ndarray | None = None  # (H, W) uint8 in {0, 1}
 
 
+LESION_RADII = (5, 7)  # smallest and largest semi-axis of a lesion, in pixels
+
+
 @dataclass
 class SynthConfig:
     image_size: int = 64
     n_positive: int = 100
     n_negative: int = 50
-    lesion_radius_range: tuple[int, int] = (5, 7)
-    noise_std: float = 0.01
-    negative_noise_std: float | None = 0.10  # None: same as noise_std
     seed: int = 0
-    lesion_contrast: float = 0.3
-    texture_amplitude: float = 0.30
-    n_blobs: int = 3
-    negative_blob_count: int = 6
-    vignette_depth: float = 0.20
-    lesion_edge_width: float = 0.3
 
     def __post_init__(self) -> None:
         problems = []
-        if self.image_size < 8:
-            problems.append(f"image_size must be >= 8, got {self.image_size}")
-        lo, hi = self.lesion_radius_range
-        if not 1 <= lo <= hi:
-            problems.append(f"lesion_radius_range must be 1 <= lo <= hi, got {lo, hi}")
-        if hi + 2 >= self.image_size / 2:  # _lesion keeps a 2-pixel margin
-            problems.append(f"lesion radius {hi} plus a 2-pixel margin must stay "
-                            f"below half the image size ({self.image_size / 2})")
-        if self.noise_std < 0:
-            problems.append(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.negative_noise_std is not None and self.negative_noise_std < 0:
-            problems.append(f"negative_noise_std must be >= 0, "
-                            f"got {self.negative_noise_std}")
+        min_size = 2 * (LESION_RADII[1] + 2) + 1  # _lesion keeps a 2-pixel margin
+        if self.image_size < min_size:
+            problems.append(f"image_size must be >= {min_size}: lesion radius "
+                            f"{LESION_RADII[1]} plus a 2-pixel margin must stay below "
+                            f"half the image size, got {self.image_size}")
         if self.n_positive < 0 or self.n_negative < 0:
             problems.append("sample counts must be >= 0")
-        if self.texture_amplitude < 0:
-            problems.append(f"texture_amplitude must be >= 0, "
-                            f"got {self.texture_amplitude}")
-        if self.lesion_contrast <= 0:
-            problems.append(f"lesion_contrast must be positive, "
-                            f"got {self.lesion_contrast}")
-        if not 0 <= self.vignette_depth < 1:
-            problems.append(f"vignette_depth must be in [0, 1), "
-                            f"got {self.vignette_depth}")
-        if not 0 < self.lesion_edge_width <= 1:
-            problems.append(f"lesion_edge_width must be in (0, 1], "
-                            f"got {self.lesion_edge_width}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if problems:
             raise ValueError("invalid synth config: " + "; ".join(problems))
 
@@ -314,20 +290,19 @@ def _grid(size: int):
                        np.arange(size, dtype=np.float64), indexing="ij")
 
 
-def _vignette(size: int, depth: float) -> np.ndarray:
-    """Smooth border darkening: 0 in the middle, `depth` at the edge,
-    easing over a band one quarter of the image wide."""
+def _vignette(size: int) -> np.ndarray:
+    """Smooth border darkening: 0 in the middle, 0.2 at the edge, easing
+    over a band one quarter of the image wide."""
     ii, jj = _grid(size)
     d = np.minimum(np.minimum(ii, jj), np.minimum(size - 1 - ii, size - 1 - jj))
     band = size / 4.0
     tt = np.clip(1.0 - d / band, 0.0, 1.0)
-    return depth * tt * tt * (3.0 - 2.0 * tt)
+    return 0.20 * tt * tt * (3.0 - 2.0 * tt)
 
 
-def _positive_background(gen: np.random.Generator, size: int, n_blobs: int,
-                         vignette_depth: float):
+def _positive_background(gen: np.random.Generator, size: int):
     """Condition-class background: a gentle ramp, one dominant bright
-    blob (the lesion host), a few dim broad secondary blobs, and the
+    blob (the lesion host), two dim broad secondary blobs, and the
     acquisition vignette shared by every condition image."""
     ii, jj = _grid(size)
     field = 0.28 + 0.04 * (ii + jj) / (2.0 * size)
@@ -335,21 +310,21 @@ def _positive_background(gen: np.random.Generator, size: int, n_blobs: int,
     sy, sx = gen.uniform(size / 4.0, size / 3.0, 2)
     field = field + 0.12 * np.exp(-((ii - cy) ** 2 / (2 * sy ** 2)
                                     + (jj - cx) ** 2 / (2 * sx ** 2)))
-    for _ in range(max(n_blobs - 1, 0)):
+    for _ in range(2):
         by, bx = gen.uniform(0, size, 2)
         s = gen.uniform(size / 5.0, size / 3.0)
         amp = gen.uniform(0.04, 0.06)
         field = field + amp * np.exp(-((ii - by) ** 2 + (jj - bx) ** 2) / (2 * s ** 2))
-    return field - _vignette(size, vignette_depth)
+    return field - _vignette(size)
 
 
-def _negative_background(gen: np.random.Generator, size: int, n_blobs: int):
-    """Clean-class background: the same gentle ramp and the same kind of
-    smooth blobs, but acquired without the vignette — these images stay
-    bright all the way out to the border."""
+def _negative_background(gen: np.random.Generator, size: int):
+    """Clean-class background: the same gentle ramp and six of the same
+    kind of smooth blobs, but acquired without the vignette — these
+    images stay bright all the way out to the border."""
     ii, jj = _grid(size)
     field = 0.28 + 0.04 * (ii + jj) / (2.0 * size)
-    for _ in range(max(n_blobs, 1)):
+    for _ in range(6):
         by, bx = gen.uniform(0, size, 2)
         s = gen.uniform(size / 5.0, size / 3.0)
         amp = gen.uniform(0.05, 0.10)
@@ -357,16 +332,15 @@ def _negative_background(gen: np.random.Generator, size: int, n_blobs: int):
     return field
 
 
-def _lesion(gen: np.random.Generator, config: SynthConfig):
+def _lesion(gen: np.random.Generator, size: int):
     """Bright ellipse at a random interior position: a flat plateau with
-    a thin smooth taper to zero at the boundary, optionally overlaid
-    with a strictly positive two-level speckle texture.
+    a thin smooth taper to zero at the boundary, overlaid with a
+    strictly positive two-level speckle texture.
 
     Every pixel inside the ellipse gains strictly positive intensity,
     so the emitted mask is exactly the support of the added signal.
     Returns (added intensity map, binary mask, center, radii)."""
-    size = config.image_size
-    lo, hi = config.lesion_radius_range
+    lo, hi = LESION_RADII
     ra = int(gen.integers(lo, hi + 1))
     rb = int(gen.integers(lo, hi + 1))
     theta = float(gen.uniform(0, np.pi))
@@ -382,15 +356,13 @@ def _lesion(gen: np.random.Generator, config: SynthConfig):
     inside = rho < 1.0  # strict: the taper is positive everywhere inside
 
     # smoothstep taper: full plateau in the middle, easing to 0 at rho = 1
-    # over the configured fraction of the radius
-    tt = np.clip((1.0 - rho) / config.lesion_edge_width, 0.0, 1.0)
+    # over the outer 0.3 of the radius
+    tt = np.clip((1.0 - rho) / 0.3, 0.0, 1.0)
     taper = tt * tt * (3.0 - 2.0 * tt)
-    added = config.lesion_contrast * taper
-    if config.texture_amplitude > 0:
-        # two-level speckle in {0.2a, a}: strictly positive, fair coin
-        # per pixel, equidistant from the per-pixel mean either way
-        coin = gen.uniform(0.0, 1.0, (size, size)) < 0.5
-        added = added + config.texture_amplitude * np.where(coin, 1.0, 0.2)
+    # two-level speckle in {0.06, 0.3}: strictly positive, fair coin per
+    # pixel, equidistant from the per-pixel mean either way
+    coin = gen.uniform(0.0, 1.0, (size, size)) < 0.5
+    added = 0.3 * taper + 0.30 * np.where(coin, 1.0, 0.2)
     added = np.where(inside, added, 0.0)
     return added, inside.astype(np.uint8), (cy, cx), (ra, rb)
 
@@ -407,10 +379,9 @@ def synthesize(config: SynthConfig, out_dir: str) -> dict:
 
     entries = []
     for k in range(config.n_positive):
-        field = _positive_background(gen, config.image_size, config.n_blobs,
-                                     config.vignette_depth)
-        added, mask, center, radii = _lesion(gen, config)
-        noise = gen.normal(0.0, config.noise_std, field.shape)
+        field = _positive_background(gen, config.image_size)
+        added, mask, center, radii = _lesion(gen, config.image_size)
+        noise = gen.normal(0.0, 0.01, field.shape)
         img = np.clip(field + added + noise, 0.0, 1.0)
         raster = np.round(img * 255.0).astype(np.uint8)
         name = f"pos_{k:03d}"
@@ -420,12 +391,9 @@ def synthesize(config: SynthConfig, out_dir: str) -> dict:
         entries.append({"id": name, "label": POSITIVE,
                         "lesion_center": list(center),
                         "lesion_radii": list(radii)})
-    neg_std = (config.noise_std if config.negative_noise_std is None
-               else config.negative_noise_std)
     for k in range(config.n_negative):
-        field = _negative_background(gen, config.image_size,
-                                     config.negative_blob_count)
-        noise = gen.normal(0.0, neg_std, field.shape)
+        field = _negative_background(gen, config.image_size)
+        noise = gen.normal(0.0, 0.10, field.shape)
         img = np.clip(field + noise, 0.0, 1.0)
         raster = np.round(img * 255.0).astype(np.uint8)
         name = f"neg_{k:03d}"
@@ -437,13 +405,6 @@ def synthesize(config: SynthConfig, out_dir: str) -> dict:
         "image_size": config.image_size,
         "n_positive": config.n_positive,
         "n_negative": config.n_negative,
-        "noise_std": config.noise_std,
-        "negative_noise_std": neg_std,
-        "lesion_radius_range": list(config.lesion_radius_range),
-        "lesion_contrast": config.lesion_contrast,
-        "texture_amplitude": config.texture_amplitude,
-        "vignette_depth": config.vignette_depth,
-        "lesion_edge_width": config.lesion_edge_width,
         "samples": entries,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", newline="") as fh:

@@ -189,30 +189,6 @@ def write_jsonl(results: list[DiagnosisResult], path: str) -> None:
             fh.write(r.to_json_line() + "\n")
 
 
-def calibrate_threshold(scores, labels) -> float:
-    """Pick the sample threshold maximizing balanced accuracy over
-    labeled scores (Positive iff score <= T). Ties go to the smallest
-    candidate threshold."""
-    scores = [float(s) for s in scores]
-    if len(scores) != len(labels):
-        raise ValueError(f"{len(scores)} scores but {len(labels)} labels")
-    if not scores:
-        raise ValueError("cannot calibrate on an empty score list")
-    pos = [s for s, l in zip(scores, labels) if l == POSITIVE]
-    neg = [s for s, l in zip(scores, labels) if l == NEGATIVE]
-    if not pos or not neg:
-        raise ValueError("calibration needs both Positive and Negative examples; "
-                         "use calibrate_from_positives for a one-class set")
-    best_t, best_score = None, -1.0
-    for t in sorted(set(scores)):
-        sens = sum(1 for s in pos if s <= t) / len(pos)
-        spec = sum(1 for s in neg if s > t) / len(neg)
-        balanced = (sens + spec) / 2.0
-        if balanced > best_score:
-            best_t, best_score = t, balanced
-    return float(best_t)
-
-
 def calibrate_pixel_threshold(error_maps, truth_masks) -> float:
     """Pick a shared pixel threshold by sweeping a percentile grid of the
     pooled per-pixel errors and maximizing mean Dice overlap against the

@@ -1,8 +1,9 @@
 """The concatenation-augmented encoder-decoder network.
 
-Symmetric ladder: each encoder level runs two same-padded convolutions with
-ReLU and then halves the resolution with max-pooling; the pre-pool activation
-is kept as the level's skip feature. The bottleneck is one conv+ReLU. Each
+Symmetric ladder: each encoder level runs two same-padded 3x3 convolutions
+with ReLU and then halves the resolution with max-pooling; the pre-pool
+activation is kept as the level's skip feature, and the channel count
+doubles from one level to the next. The bottleneck is one conv+ReLU. Each
 decoder level doubles the resolution with nearest upsampling, concatenates
 the spatially matching encoder skip onto the channel axis, and applies one
 conv+ReLU followed by dropout (training only). A linear 1x1 convolution maps
@@ -22,6 +23,8 @@ from .rng import Rng
 
 CHECKPOINT_MAGIC = b"CATU"
 CHECKPOINT_VERSION = 1
+KERNEL_SIZE = 3
+CHANNEL_GROWTH = 2
 
 
 class CheckpointError(RuntimeError):
@@ -34,8 +37,6 @@ class CatUNetConfig:
     input_size: int = 256
     depth: int = 3
     base_channels: int = 16
-    channel_growth: int = 2
-    kernel_size: int = 3
     dropout_rate: float = 0.5
 
     def __post_init__(self):
@@ -47,15 +48,11 @@ class CatUNetConfig:
             problems.append(f"depth must be >= 1, got {self.depth}")
         if self.base_channels < 1:
             problems.append(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.channel_growth < 1:
-            problems.append(f"channel_growth must be >= 1, got {self.channel_growth}")
         if self.input_channels < 1:
             problems.append(f"input_channels must be >= 1, got {self.input_channels}")
         if self.input_size < 1 or self.input_size % (2 ** self.depth) != 0:
             problems.append(
                 f"input_size must be a positive multiple of 2^depth={2 ** self.depth}, got {self.input_size}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            problems.append(f"kernel_size must be odd (same padding), got {self.kernel_size}")
         if not 0 <= self.dropout_rate < 1:
             problems.append(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if problems:
@@ -63,10 +60,10 @@ class CatUNetConfig:
 
     def encoder_channels(self) -> List[int]:
         """Channel ladder of the encoder levels (pre-pool features)."""
-        return [self.base_channels * self.channel_growth ** i for i in range(self.depth)]
+        return [self.base_channels * CHANNEL_GROWTH ** i for i in range(self.depth)]
 
     def bottleneck_channels(self) -> int:
-        return self.base_channels * self.channel_growth ** self.depth
+        return self.base_channels * CHANNEL_GROWTH ** self.depth
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -76,19 +73,20 @@ class CatUNetConfig:
         fields = json.loads(text)
         if not isinstance(fields, dict):
             raise ValueError("config must be a JSON object")
-        # Older headers carry output_channels; the output always has the
-        # input's channels, so only that value is accepted.
-        legacy = fields.pop("output_channels", None)
-        config = cls(**fields)
-        if legacy is not None and legacy != config.input_channels:
-            raise ValueError(f"output_channels ({legacy}) must equal "
-                             f"input_channels ({config.input_channels})")
-        return config
+        # Older headers carry settings the code now fixes; each is accepted
+        # only at the value the code uses.
+        fixed = {"kernel_size": KERNEL_SIZE, "channel_growth": CHANNEL_GROWTH,
+                 "output_channels": fields.get("input_channels", cls.input_channels)}
+        for key, value in fixed.items():
+            found = fields.pop(key, value)
+            if found != value:
+                raise ValueError(f"{key} ({found}) must be {value}")
+        return cls(**fields)
 
 
 def parameter_count(config: CatUNetConfig) -> int:
     """Closed-form parameter total for a config (weights plus biases)."""
-    k2 = config.kernel_size ** 2
+    k2 = KERNEL_SIZE ** 2
     enc = config.encoder_channels()
     total = 0
     prev = config.input_channels
@@ -141,7 +139,7 @@ class CatUNetModel:
         if use_dropout and dropout_rng is None:
             raise ValueError("forward: training mode with dropout needs a dropout_rng")
 
-        pad = cfg.kernel_size // 2
+        pad = KERNEL_SIZE // 2
         x = batch
         skips: List[T.Tensor] = []
         for i in range(cfg.depth):
@@ -154,12 +152,7 @@ class CatUNetModel:
         features: List[T.Tensor] = []
         for k in range(1, cfg.depth + 1):
             x = T.upsample_nearest(x, 2)
-            partner = skips[cfg.depth - k]
-            if x.shape[2:] != partner.shape[2:]:
-                raise T.ShapeError(
-                    f"decoder level {k}: upsampled map {x.shape[2]}x{x.shape[3]} does not "
-                    f"match encoder partner {partner.shape[2]}x{partner.shape[3]}")
-            x = T.concat_channels(x, partner)
+            x = T.concat_channels(x, skips[cfg.depth - k])
             features.append(x)
             x = T.relu(self._conv(f"dec{k}", x, pad))
             if use_dropout:
@@ -173,7 +166,7 @@ class CatUNetModel:
 def _parameter_shapes(config: CatUNetConfig) -> List[Tuple[str, Tuple[int, ...]]]:
     """(name, shape) of every parameter in the order `build` creates them:
     each conv's weight (cout, cin, k, k), then its bias (cout,)."""
-    k = config.kernel_size
+    k = KERNEL_SIZE
     convs = []
     enc = config.encoder_channels()
     prev = config.input_channels

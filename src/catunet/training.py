@@ -46,6 +46,8 @@ class TrainingConfig:
                             f"got {self.validation_fraction}")
         if self.epochs < 0:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             problems.append(f"learning_rate must be positive and finite, "
                             f"got {self.learning_rate}")

@@ -7,6 +7,8 @@ determinism gates all read from it, and the determinism gate repeats the
 full run to compare artifact bytes.
 """
 
+import importlib.util
+import os
 import time
 
 import numpy as np
@@ -33,6 +35,20 @@ RECIPE = {
                      validation_fraction=0.2, seed=11),
     "margin": 1.35,
 }
+
+
+def test_reference_script_uses_the_acceptance_recipe():
+    # perfbench/make_reference.py trains the benchmark's reference model;
+    # it must run this recipe, on config fields that still exist
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "make_reference.py")
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.RECIPE == RECIPE
+    dio.SynthConfig(**RECIPE["corpus"])
+    CatUNetConfig(**RECIPE["model"])
+    tr.TrainingConfig(**RECIPE["training"])
 
 
 def test_criterion_1_gradient_suite_under_tolerance():

@@ -75,6 +75,13 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = cli.main(["synth", "--out", str(tmp_path / "d"), "--n-pos", "3",
+                         "--size", "24", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_report_and_config(self, workspace):
@@ -136,9 +143,12 @@ class TestTrain:
                          workspace["data"], "--config", str(config),
                          "--report", str(tmp_path / "m.json")]) == 2
         assert "intensity_scale" in capsys.readouterr().err
-        # training settings that were deleted are unknown keys now
-        for key in ("reg_weight", "schedule_mode", "feature_bound", "max_train_samples"):
-            config.write_text(json.dumps({"training": {key: 1}}))
+        # settings that were deleted are unknown keys now
+        for section, key in [("training", "reg_weight"), ("training", "schedule_mode"),
+                             ("training", "feature_bound"),
+                             ("training", "max_train_samples"),
+                             ("model", "kernel_size"), ("model", "channel_growth")]:
+            config.write_text(json.dumps({section: {key: 1}}))
             assert cli.main(["train", "--data", workspace["data"], "--config",
                              str(config), "--out", str(tmp_path / "m.catu")]) == 2
             assert key in capsys.readouterr().err
@@ -165,6 +175,26 @@ class TestTrain:
                          "--size", "24", "--depth", "1", "--base", "2"])
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_negative_seed_flag_is_usage_error(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code = cli.main(["train", "--data", workspace["data"], "--seed", "-1",
+                         "--out", str(run_dir / "m.catu"), "--epochs", "1",
+                         "--size", "24", "--depth", "1", "--base", "2"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_negative_seed_in_config_is_usage_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"training": {"seed": -1}}))
+        run_dir = tmp_path / "run"
+        code = cli.main(["train", "--data", workspace["data"], "--config", str(config),
+                         "--out", str(run_dir / "m.catu"), "--epochs", "1",
+                         "--size", "24", "--depth", "1", "--base", "2"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
         assert not run_dir.exists()
 
     def test_output_channels_other_than_input_is_usage_error(self, workspace, tmp_path,

@@ -254,8 +254,7 @@ class TestLoadDataset:
         assert any("zz" in r.getMessage() for r in caplog.records)
 
 
-SMALL = dict(image_size=24, n_positive=3, n_negative=2,
-             lesion_radius_range=(3, 5), seed=11)
+SMALL = dict(image_size=24, n_positive=3, n_negative=2, seed=11)
 
 
 class TestSynthesize:
@@ -309,55 +308,35 @@ class TestSynthesize:
         # the emitted mask must equal the set of pixels the lesion
         # actually brightened, with no off-by-one at the taper edge
         gen = np.random.default_rng(7)
-        for amplitude in (0.0, 0.3):
-            config = SynthConfig(**SMALL, texture_amplitude=amplitude)
-            for _ in range(10):
-                added, mask, _, _ = dio._lesion(gen, config)
-                assert np.array_equal(added > 0, mask.astype(bool))
-
-    def test_negative_noise_std_plumbing(self, tmp_path):
-        # None means "match the positive class"; the default is noisier
-        quiet = dio.synthesize(SynthConfig(**SMALL, negative_noise_std=None),
-                               str(tmp_path / "q"))
-        loud = dio.synthesize(SynthConfig(**SMALL, negative_noise_std=0.2),
-                              str(tmp_path / "l"))
-        assert quiet["negative_noise_std"] == quiet["noise_std"]
-        assert loud["negative_noise_std"] == 0.2
-        assert SynthConfig(**SMALL).negative_noise_std > SynthConfig(**SMALL).noise_std
-
-        def negative_roughness(root):
-            _, negatives, _ = dio.load_dataset(str(root))
-            diffs = [np.diff(s.pixels[0], axis=1).std() for s in negatives]
-            return np.mean(diffs)
-
-        assert negative_roughness(tmp_path / "l") > 3 * negative_roughness(tmp_path / "q")
-
-    def test_positive_noise_untouched_by_negative_setting(self, tmp_path):
-        base = dio.synthesize(SynthConfig(**SMALL), str(tmp_path / "a"))
-        with_neg = dio.synthesize(SynthConfig(**SMALL, negative_noise_std=0.2),
-                                  str(tmp_path / "b"))
-        assert base["noise_std"] == with_neg["noise_std"]
-        assert ((tmp_path / "a" / "positive" / "pos_000.pgm").read_bytes()
-                == (tmp_path / "b" / "positive" / "pos_000.pgm").read_bytes())
+        for _ in range(10):
+            added, mask, _, _ = dio._lesion(gen, SMALL["image_size"])
+            assert np.array_equal(added > 0, mask.astype(bool))
 
     def test_invalid_config_collects_all_problems(self):
         with pytest.raises(ValueError) as err:
-            SynthConfig(image_size=4, noise_std=-1, lesion_radius_range=(0, 3))
+            SynthConfig(image_size=4, n_negative=-1, seed=-1)
         message = str(err.value)
         assert "image_size" in message
-        assert "noise_std" in message
-        assert "lesion_radius_range" in message
+        assert "sample counts" in message
+        assert "seed" in message
 
     def test_radius_must_fit_image(self):
-        with pytest.raises(ValueError, match="half the"):
-            SynthConfig(image_size=16, lesion_radius_range=(3, 8))
+        # one size rule: the largest lesion radius (7) plus _lesion's
+        # 2-pixel margin must stay below half the image
+        for size in (4, 18):
+            with pytest.raises(ValueError, match="lesion radius 7") as err:
+                SynthConfig(image_size=size)
+            assert ";" not in str(err.value)  # one rule, one problem
 
     @pytest.mark.parametrize("radii", [(2, 3), (4, 4), (5, 7)])
-    def test_smallest_accepted_size_synthesizes(self, tmp_path, radii):
+    def test_smallest_accepted_size_synthesizes(self, tmp_path, monkeypatch, radii):
+        # the size rule and _lesion both read LESION_RADII: at the smallest
+        # size the rule accepts, every lesion must still fit, whatever the radii
+        monkeypatch.setattr(dio, "LESION_RADII", radii)
         size = 2 * (radii[1] + 2) + 1  # _lesion's centre needs a 2-pixel margin
         with pytest.raises(ValueError, match="half the"):
-            SynthConfig(image_size=size - 1, lesion_radius_range=radii)
+            SynthConfig(image_size=size - 1)
         for seed in range(3):
             dio.synthesize(SynthConfig(image_size=size, n_positive=20, n_negative=0,
-                                       lesion_radius_range=radii, seed=seed),
+                                       seed=seed),
                            str(tmp_path / str(seed)))

@@ -1,6 +1,7 @@
 """Network construction, wiring, forward shape law, and checkpoint format."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -24,7 +25,7 @@ def small_cfg(**kw):
 
 class TestConfig:
     def test_channel_ladder(self):
-        cfg = CatUNetConfig(input_size=64, depth=3, base_channels=16, channel_growth=2)
+        cfg = CatUNetConfig(input_size=64, depth=3, base_channels=16)
         assert cfg.encoder_channels() == [16, 32, 64]
 
     def test_invalid_size_lists_violation(self):
@@ -34,10 +35,6 @@ class TestConfig:
     def test_invalid_depth(self):
         with pytest.raises(ValueError, match="depth"):
             CatUNetConfig(depth=0, input_size=64)
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel_size"):
-            CatUNetConfig(input_size=64, kernel_size=4)
 
     def test_json_roundtrip(self):
         cfg = small_cfg(dropout_rate=0.25)
@@ -120,8 +117,7 @@ class TestForward:
             depth = int(gen.integers(1, 4))
             size = int(2 ** depth * gen.integers(1, 4))
             cfg = CatUNetConfig(input_channels=int(gen.integers(1, 3)), input_size=size,
-                                depth=depth, base_channels=int(gen.integers(1, 5)),
-                                channel_growth=int(gen.integers(1, 3)))
+                                depth=depth, base_channels=int(gen.integers(1, 5)))
             net = build(cfg, Rng(int(gen.integers(0, 100))))
             n = int(gen.integers(1, 3))
             x = T.Tensor(gen.uniform(0, 1, (n, cfg.input_channels, size, size)).astype(np.float32))
@@ -209,27 +205,49 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def _save_with_output_channels(path, value):
-        """Save a small model whose header carries an output_channels key."""
+    def _save_with_header_key(path, key, value):
+        """Save a small model whose header carries one extra key."""
         net = build(small_cfg(), Rng(0))
         save_checkpoint(net, path)
         raw = open(path, "rb").read()
         (cfg_len,) = struct.unpack("<I", raw[8:12])
-        fields = dict(json.loads(raw[12:12 + cfg_len]), output_channels=value)
+        fields = dict(json.loads(raw[12:12 + cfg_len]), **{key: value})
         cfg = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
         open(path, "wb").write(raw[:8] + struct.pack("<I", len(cfg)) + cfg + raw[12 + cfg_len:])
         return net
 
     def test_legacy_output_channels_equal_to_input_loads(self, tmp_path):
         path = str(tmp_path / "m.catu")
-        net = self._save_with_output_channels(path, 1)
+        net = self._save_with_header_key(path, "output_channels", 1)
         assert load_checkpoint(path).config == net.config
 
     def test_output_channels_other_than_input_raises_load_error(self, tmp_path):
         path = str(tmp_path / "m.catu")
-        self._save_with_output_channels(path, 2)
+        self._save_with_header_key(path, "output_channels", 2)
         with pytest.raises(CheckpointError, match="output_channels"):
             load_checkpoint(path)
+
+    # older headers carry the architecture settings the code now fixes
+    @pytest.mark.parametrize("key, value", [("kernel_size", 3), ("channel_growth", 2)])
+    def test_legacy_fixed_key_at_code_value_loads(self, tmp_path, key, value):
+        path = str(tmp_path / "m.catu")
+        net = self._save_with_header_key(path, key, value)
+        assert load_checkpoint(path).config == net.config
+
+    @pytest.mark.parametrize("key, value", [("kernel_size", 5), ("kernel_size", 1),
+                                            ("channel_growth", 1), ("channel_growth", 3)])
+    def test_legacy_fixed_key_at_other_value_raises_load_error(self, tmp_path, key, value):
+        path = str(tmp_path / "m.catu")
+        self._save_with_header_key(path, key, value)
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+    def test_reference_model_header_loads(self):
+        # its header carries kernel_size, channel_growth and output_channels
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "reference", "model.catu")
+        assert load_checkpoint(path).config == CatUNetConfig(
+            input_channels=1, input_size=48, depth=2, base_channels=6, dropout_rate=0.5)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_raises_load_error(self, tmp_path, value):
