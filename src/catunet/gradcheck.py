@@ -108,6 +108,15 @@ def primitive_checks(seed: int = 0) -> Dict[str, float]:
     mb = _f64(gen, (3, 5))
     errs["mse"] = grad_check(lambda: T.mse(ma, mb), [ma, mb])
 
+    # drawn last, so the entries above keep their draws
+    ul = _f64(gen, (2, 2, 2, 2))
+    us = _f64(gen, (2, 1, 4, 4))
+    uw = _f64(gen, (2, 3, 3, 3))
+    ub = _f64(gen, (2,))
+    uctgt = T.Tensor(gen.uniform(-1, 1, (2, 2, 4, 4)).astype(np.float64))
+    errs["up_concat_conv2d"] = grad_check(
+        lambda: T.mse(T.up_concat_conv2d(ul, us, uw, ub), uctgt), [ul, us, uw, ub])
+
     return errs
 
 

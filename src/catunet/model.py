@@ -8,6 +8,12 @@ decoder level doubles the resolution with nearest upsampling, concatenates
 the spatially matching encoder skip onto the channel axis, and applies one
 conv+ReLU followed by dropout (training only). A linear 1x1 convolution maps
 the last decoder features to the output, which has the input's shape.
+
+The decoder's upsample, concatenation and 3x3 conv run as one primitive,
+`T.up_concat_conv2d`, which computes the upsampled part at low resolution
+(one 2x2 conv per output phase) and never builds the upsampled or the
+concatenated map. `dec{k}_w` is still the weight of the conv over the
+concatenation: upsampled channels first, then the skip's.
 """
 
 import io
@@ -124,8 +130,9 @@ class CatUNetModel:
 
         `training=True` activates decoder dropout and requires `dropout_rng`
         (unless the configured rate is 0). With `return_features=True` the
-        per-level concatenated decoder features are returned alongside the
-        output.
+        output comes with each decoder level's `(x_low, skip)` pair; that
+        level's conv reads `concat_channels(upsample_nearest(x_low, 2), skip)`,
+        which `T.up_concat_conv2d` never builds.
         """
         cfg = self.config
         n, c, h, w = batch.shape if batch.data.ndim == 4 else (None,) * 4
@@ -149,12 +156,12 @@ class CatUNetModel:
             x, _ = T.maxpool2d(x, 2, 2)
         x = T.relu(self._conv("bottleneck", x, pad))
 
-        features: List[T.Tensor] = []
+        features: List[Tuple[T.Tensor, T.Tensor]] = []
         for k in range(1, cfg.depth + 1):
-            x = T.upsample_nearest(x, 2)
-            x = T.concat_channels(x, skips[cfg.depth - k])
-            features.append(x)
-            x = T.relu(self._conv(f"dec{k}", x, pad))
+            skip = skips[cfg.depth - k]
+            features.append((x, skip))
+            x = T.relu(T.up_concat_conv2d(x, skip, self.parameters[f"dec{k}_w"],
+                                          self.parameters[f"dec{k}_b"]))
             if use_dropout:
                 x = T.dropout(x, cfg.dropout_rate, True, dropout_rng)
         out = self._conv("out", x, 0)
@@ -204,10 +211,14 @@ def build(config: CatUNetConfig, rng: Rng) -> CatUNetModel:
 
 
 def feature_norm(model: CatUNetModel, batch: T.Tensor) -> List[float]:
-    """L2 norm of the concatenated feature map at each decoder level."""
+    """L2 norm of the concatenated feature map at each decoder level,
+    sqrt(4 |x_low|^2 + |skip|^2) in float64: the nearest-2x upsample holds
+    each low-res pixel four times."""
     with T.no_grad():
         _, feats = model.forward(batch, training=False, return_features=True)
-    return [float(np.sqrt((f.data.astype(np.float64) ** 2).sum())) for f in feats]
+    return [float(np.sqrt(4 * np.square(lo.data, dtype=np.float64).sum()
+                          + np.square(sk.data, dtype=np.float64).sum()))
+            for lo, sk in feats]
 
 
 def save_checkpoint(model: CatUNetModel, path: str):

@@ -1,6 +1,7 @@
 """Dense tensors with reverse-mode autodiff over the handful of primitives
 the network needs: convolution, max-pooling, nearest upsampling, channel
-concatenation, ReLU, dropout, and mean-squared-error.
+concatenation, the decoder's fused upsample-concatenate-convolve
+(`up_concat_conv2d`), ReLU, dropout, and mean-squared-error.
 
 Each operation returns a new Tensor holding a closure that knows how to push
 the output gradient back to its parents; `backward()` walks the recorded
@@ -16,6 +17,16 @@ model's thin GEMMs (a few rows, thousands of columns) several times
 slower once their operands outgrow the cache; the input gradient is
 gathered tile by tile from a zero-led gradient grid, so it runs the same
 loop as the forward.
+
+The polyphase identity: a 3x3 conv over a nearest-2x upsample equals four
+2x2 convs at the low resolution, one per output phase (row and column
+parity), each with the sums of the 3x3 taps that read the same low-res
+pixel (the resize-convolution / sub-pixel equivalence: Odena, Dumoulin &
+Olah, Distill 2016; Shi et al. 2016, arXiv 1609.07009).
+`up_concat_conv2d` runs the decoder's upsample, concatenation and conv
+that way, so it never builds the upsampled or the concatenated map.
+`upsample_nearest` and `concat_channels` stay as primitives: composed
+with `conv2d` they are its reference.
 """
 
 from contextlib import contextmanager
@@ -170,6 +181,33 @@ def _tap_gemms(mats, src: np.ndarray, shifts, out: np.ndarray):
             y += mul(a, src[:, c0 + s:c1 + s], out=t)
 
 
+def _tap_weight_grads(g: np.ndarray, src: np.ndarray, shifts, ncols: int, dw: np.ndarray):
+    """dw[t] += sum over columns c < ncols of g[:, c] src[:, c + shifts[t]]^T,
+    one tile of at most TILE columns at a time."""
+    for c0 in range(0, ncols, TILE):
+        c1 = min(c0 + TILE, ncols)
+        for t, s in enumerate(shifts):
+            dw[t] += g[:, c0:c1] @ src[:, c0 + s:c1 + s].T
+
+
+def _windows(src: np.ndarray, shifts, c0: int, ncols: int, buf: np.ndarray) -> np.ndarray:
+    """Stack the shifted column windows src[:, c0 + d:c0 + d + ncols], one
+    block of rows per shift d, into buf and return that (rows, ncols) view."""
+    rows = src.shape[0]
+    for t, d in enumerate(shifts):
+        buf[t * rows:(t + 1) * rows, :ncols] = src[:, c0 + d:c0 + d + ncols]
+    return buf[:, :ncols]
+
+
+def _channel_major(a: np.ndarray, p: int) -> np.ndarray:
+    """(N, C, H, W) -> its zero-padded channel-major copy (C, N, H+2p, W+2p),
+    flattened to (C, M)."""
+    n, c, h, w = a.shape
+    xf = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    xf[:, :, p:p + h, p:p + w] = a.transpose(1, 0, 2, 3)
+    return xf.reshape(c, -1)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation over (N, Cin, H, W) with zero padding.
 
@@ -231,9 +269,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     shifts = [d for _, _, d in taps]
     valid = (slice(None), slice(None), slice(0, stride * ho, stride), slice(0, stride * wo, stride))
 
-    xf = np.zeros((cin, n, hp, wp), dtype=x.data.dtype)
-    xf[:, :, p:p + h, p:p + wd] = x.data.transpose(1, 0, 2, 3)
-    xf = xf.reshape(cin, m)
+    xf = _channel_major(x.data, p)
     yf = np.empty((cout, m), dtype=np.result_type(x.data, w.data))
     _tap_gemms([w.data[:, :, ki, kj] for ki, kj, _ in taps], xf, shifts, yf[:, :span])
     out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
@@ -248,12 +284,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         # splits gf's unit-stride rows, so the reshape is a view into gpad
         gf.reshape(cout, n, hp, wp)[valid] = g.transpose(1, 0, 2, 3)
         if w.requires_grad:
-            dw = np.zeros(w.shape, dtype=np.result_type(g, xf))
-            for c0 in range(0, span, TILE):
-                c1 = min(c0 + TILE, span)
-                for ki, kj, d in taps:
-                    dw[:, :, ki, kj] += gf[:, c0:c1] @ xf[:, c0 + d:c1 + d].T
-            _accum(w, dw)
+            dw = np.zeros((len(taps), cout, cin), dtype=np.result_type(g, xf))
+            _tap_weight_grads(gf, xf, shifts, span, dw)
+            _accum(w, dw.transpose(1, 2, 0).reshape(w.shape))
         if x.requires_grad:
             dxf = np.empty((cin, m), dtype=np.result_type(g, w.data))
             _tap_gemms([w.data[:, :, ki, kj].T for ki, kj, _ in taps], gpad,
@@ -261,6 +294,160 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
 
     return _result(out, (x, w, b), bwd)
+
+
+# Output row 2p + a reads upsampled rows 2p + a - 1 + ki, which are the
+# low-res rows p - 1 + a + r: _WINDOW_ROWS[a, r, ki] = 1 where kernel row
+# ki of phase a reads window row r. Columns work the same way, so the
+# (16, 9) collapse of a 3x3 kernel's taps (column 3*ki + kj) into the four
+# phases' 2x2 kernels (row 4*(2a + e) + 2r + s for phase (a, e) and window
+# tap (r, s)) is the outer product of the row and column maps.
+_WINDOW_ROWS = np.array([[[1, 0, 0], [0, 1, 1]],
+                         [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+PHASE_COLLAPSE = (np.multiply.outer(_WINDOW_ROWS, _WINDOW_ROWS)    # [a, r, ki, e, s, kj]
+                  .transpose(0, 3, 1, 4, 2, 5).reshape(16, 9))
+
+
+def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """conv2d(concat_channels(upsample_nearest(x_low, 2), skip), w, b,
+    padding=1) for a 3x3 kernel, without building the upsampled, the
+    concatenated or a padded full-resolution copy of x_low.
+
+    The conv over the concatenation is the sum of a conv over each part,
+    split at ca = x_low's channel count: w[:, :ca] reads the upsampled map
+    and w[:, ca:] the skip. The skip part is conv2d's tap loop at full
+    resolution. The upsampled part is the polyphase identity of the module
+    docstring: output (2p + a, 2q + e) reads only the 2x2 low-res window at
+    rows p - 1 + a + {0, 1} and columns q - 1 + e + {0, 1}, through the
+    phase kernel that one GEMM with PHASE_COLLAPSE sums from the 3x3 taps;
+    the transpose of that GEMM maps the phase kernels' gradient back. That
+    part costs 16 of the 36 multiply-adds per low-res pixel of a conv over
+    the upsampled map.
+
+    On x_low's zero-padded channel-major grid (row pitch lwp), window tap
+    (r, s) and phase (a, e) are the column shifts r*lwp + s and a*lwp + e.
+    The four shifted copies of a tile of that grid, stacked as 4*ca rows,
+    make each phase one GEMM with a (cout, 4*ca) kernel. A tile has a
+    quarter of TILE columns, so the stack is no larger than a tap operand.
+    The bias rides along as one more row, of ones. The phase outputs are
+    interleaved with the skip part's into the NCHW output.
+
+    Backward runs the skip part as conv2d's backward. For the upsampled
+    part, dW comes from the same window tiles, one GEMM per phase, and
+    dX_low from one GEMM per tile over the 16 shifted windows of the
+    phases' output gradients, each phase scattered onto its own zero-led
+    low-res grid.
+    """
+    for name, t in (("x_low", x_low), ("skip", skip), ("w", w)):
+        if t.data.ndim != 4:
+            raise ShapeError(f"up_concat_conv2d: expected 4-d {name}, got {t.data.ndim}-d")
+    n, ca, h, wd = x_low.shape
+    ns, cb, hs, ws = skip.shape
+    cout, cin, kh, kw = w.shape
+    if (ns, hs, ws) != (n, 2 * h, 2 * wd):
+        raise ShapeError(
+            f"up_concat_conv2d: skip is {ns}x{hs}x{ws}, the upsampled input is {n}x{2 * h}x{2 * wd}")
+    if (cin, kh, kw) != (ca + cb, 3, 3):
+        raise ShapeError(
+            f"up_concat_conv2d: weight is {cin}x{kh}x{kw} per output channel, "
+            f"expected {ca + cb}x3x3 for {ca} + {cb} input channels")
+    if b.shape != (cout,):
+        raise ShapeError(
+            f"up_concat_conv2d: bias shape {tuple(b.shape)} does not match {cout} output channels")
+
+    dtype = np.result_type(x_low.data, skip.data, w.data)
+    hh, ww = 2 * h, 2 * wd
+
+    # the skip part: conv2d's tap loop on the padded full-resolution grid
+    hp, wp = hh + 2, ww + 2
+    m = n * hp * wp
+    shifts = [ki * wp + kj for ki in range(3) for kj in range(3)]
+    dmax = shifts[-1]
+    span = m - dmax
+    sf = _channel_major(skip.data, 1)
+    # one contiguous (cout, cb) matrix per tap, which BLAS takes as is
+    wskip = np.ascontiguousarray(w.data[:, ca:].transpose(2, 3, 0, 1)).reshape(9, cout, cb)
+    yf = np.empty((cout, m), dtype=dtype)
+    _tap_gemms(wskip, sf, shifts, yf[:, :span])
+
+    # the upsampled part: four 2x2 phase convs on the padded low-res grid
+    lhp, lwp = h + 2, wd + 2
+    ml = n * lhp * lwp
+    wshifts = (0, 1, lwp, lwp + 1)      # index 2r + s, or 2a + e
+    ldmax = 2 * wshifts[-1]
+    lspan = ml - ldmax
+    wtile = -(-TILE // 4)
+    lf = _channel_major(x_low.data, 1)
+    collapse = PHASE_COLLAPSE.astype(dtype)
+    k = (collapse @ w.data[:, :ca].transpose(2, 3, 0, 1).reshape(9, cout * ca)).reshape(4, 4, cout, ca)
+    k4 = np.empty((4, cout, 4 * ca + 1), dtype=dtype)
+    k4[:, :, :-1] = k.transpose(0, 2, 1, 3).reshape(4, cout, 4 * ca)
+    k4[:, :, -1] = b.data
+    zf = np.empty((4, cout, ml), dtype=dtype)
+    wcols = min(wtile, lspan) + wshifts[-1]
+    buf = np.empty((4 * ca + 1, wcols), dtype=dtype)
+    buf[-1] = 1
+    for c0 in range(0, lspan, wtile):
+        c1 = min(c0 + wtile, lspan)
+        x4 = _windows(lf, wshifts, c0, c1 - c0 + wshifts[-1], buf)
+        for ph, d in enumerate(wshifts):
+            np.matmul(k4[ph], x4[:, d:d + c1 - c0], out=zf[ph, :, c0:c1])
+
+    # out[:, :, 2p + a, 2q + e] = skip part + phase (a, e) at (p, q)
+    out = np.empty((n, cout, hh, ww), dtype=dtype)
+    out6 = out.reshape(n, cout, h, 2, wd, 2)
+    y6 = yf.reshape(cout, n, hp, wp)[:, :, :hh, :ww].reshape(cout, n, h, 2, wd, 2).swapaxes(0, 1)
+    z = zf.reshape(2, 2, cout, n, lhp, lwp)[..., :h, :wd].swapaxes(2, 3)
+    for a in range(2):
+        for e in range(2):
+            np.add(y6[:, :, :, a, :, e], z[a, e], out=out6[:, :, :, a, :, e])
+
+    def bwd(g: np.ndarray):
+        if b.requires_grad:
+            _accum(b, g.sum(axis=(0, 2, 3)))
+        if not (w.requires_grad or x_low.requires_grad or skip.requires_grad):
+            return
+        gpad = np.zeros((cout, dmax + m), dtype=g.dtype)
+        gpad[:, dmax:].reshape(cout, n, hp, wp)[:, :, :hh, :ww] = g.transpose(1, 0, 2, 3)
+        # phase (a, e) of g on its own zero-led low-res grid, block 2a + e
+        lgpad = np.zeros((cout, 4, ldmax + ml), dtype=g.dtype)
+        lgf = lgpad[:, :, ldmax:]
+        lgf.reshape(cout, 2, 2, n, lhp, lwp)[..., :h, :wd] = (
+            g.reshape(n, cout, h, 2, wd, 2).transpose(1, 3, 5, 0, 2, 4))
+        gtype = np.result_type(g, dtype)
+        if w.requires_grad:
+            dw = np.empty(w.shape, dtype=gtype)
+            dws = np.zeros((9, cout, cb), dtype=gtype)
+            _tap_weight_grads(gpad[:, dmax:], sf, shifts, span, dws)
+            dw[:, ca:] = dws.transpose(1, 2, 0).reshape(cout, cb, 3, 3)
+            dk = np.zeros((4, 4 * ca, cout), dtype=gtype)     # [phase][(r, s, ch), co]
+            wbuf = np.empty((4 * ca, wcols), dtype=dtype)
+            for c0 in range(0, lspan, wtile):
+                c1 = min(c0 + wtile, lspan)
+                x4 = _windows(lf, wshifts, c0, c1 - c0 + wshifts[-1], wbuf)
+                for ph, d in enumerate(wshifts):
+                    dk[ph] += x4[:, d:d + c1 - c0] @ lgf[:, ph, c0:c1].T
+            dwu = collapse.T.astype(gtype) @ dk.reshape(16, ca * cout)
+            dw[:, :ca] = dwu.reshape(3, 3, ca, cout).transpose(3, 2, 0, 1)
+            _accum(w, dw)
+        if skip.requires_grad:
+            dsf = np.empty((cb, m), dtype=gtype)
+            _tap_gemms(wskip.transpose(0, 2, 1), gpad, [dmax - d for d in shifts], dsf)
+            _accum(skip, dsf.reshape(cb, n, hp, wp)[:, :, 1:1 + hh, 1:1 + ww].transpose(1, 0, 2, 3))
+        if x_low.requires_grad:
+            # dX_low[:, c] = sum over phase (a, e), window tap (r, s) of
+            # k[a, e, r, s].T @ phase (a, e) of g at c - (a + r)*lwp - (e + s)
+            gshifts = [ph * (ldmax + ml) + ldmax - a - d for ph, a in enumerate(wshifts) for d in wshifts]
+            kt = k.transpose(3, 0, 1, 2).reshape(ca, 16 * cout)
+            gsrc = lgpad.reshape(cout, -1)
+            gbuf = np.empty((16 * cout, min(wtile, ml)), dtype=g.dtype)
+            dlf = np.empty((ca, ml), dtype=gtype)
+            for c0 in range(0, ml, wtile):
+                c1 = min(c0 + wtile, ml)
+                np.matmul(kt, _windows(gsrc, gshifts, c0, c1 - c0, gbuf), out=dlf[:, c0:c1])
+            _accum(x_low, dlf.reshape(ca, n, lhp, lwp)[:, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
+
+    return _result(out, (x_low, skip, w, b), bwd)
 
 
 def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tuple[Tensor, np.ndarray]:

@@ -81,15 +81,19 @@ class TestForward:
         assert net.forward(x).shape == (2, 1, 64, 64)
 
     def test_concat_channels_add_exactly(self):
+        # each decoder conv sees the upsampled level below, then its skip
         cfg = small_cfg()
         net = build(cfg, Rng(0))
         x = T.Tensor(np.random.default_rng(1).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
         _, feats = net.forward(x, return_features=True)
         enc = cfg.encoder_channels()
         up = cfg.bottleneck_channels()
-        for k, f in enumerate(feats, start=1):
+        assert len(feats) == cfg.depth
+        for k, (low, skip) in enumerate(feats, start=1):
             partner = enc[cfg.depth - k]
-            assert f.shape[1] == up + partner
+            assert (low.shape[1], skip.shape[1]) == (up, partner)
+            assert low.shape[1] + skip.shape[1] == net.parameters[f"dec{k}_w"].shape[1]
+            assert skip.shape[2:] == (2 * low.shape[2], 2 * low.shape[3])
             up = partner
 
     def test_inference_deterministic(self):
@@ -125,6 +129,55 @@ class TestForward:
             assert out.shape == x.shape
 
 
+def unfused_forward(net, batch):
+    """The network with each decoder level run as the unfused composition
+    conv2d(concat_channels(upsample_nearest(x, 2), skip)) of the kept
+    primitives; no dropout."""
+    depth = net.config.depth
+    p = net.parameters
+    x, skips = batch, []
+    for i in range(depth):
+        for j in (1, 2):
+            x = T.relu(T.conv2d(x, p[f"enc{i}_conv{j}_w"], p[f"enc{i}_conv{j}_b"], padding=1))
+        skips.append(x)
+        x, _ = T.maxpool2d(x, 2, 2)
+    x = T.relu(T.conv2d(x, p["bottleneck_w"], p["bottleneck_b"], padding=1))
+    for k in range(1, depth + 1):
+        x = T.concat_channels(T.upsample_nearest(x, 2), skips[depth - k])
+        x = T.relu(T.conv2d(x, p[f"dec{k}_w"], p[f"dec{k}_b"], padding=1))
+    return T.conv2d(x, p["out_w"], p["out_b"])
+
+
+class TestFusedDecoder:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_forward_and_gradients_match_unfused_decoder(self, depth):
+        # float64, so only summation order separates the two; a wrong
+        # dec{k}_w slice order or phase mix-up is off by O(1)
+        cfg = CatUNetConfig(input_channels=1, input_size=8 * 2 ** (depth - 1), depth=depth,
+                            base_channels=2, dropout_rate=0.0)
+        net = build(cfg, Rng(depth))
+        gen = np.random.default_rng(depth)
+        for p in net.parameters.values():
+            p.data = gen.uniform(-0.5, 0.5, p.shape)
+        size = cfg.input_size
+        x = T.Tensor(gen.uniform(0, 1, (2, 1, size, size)))
+        target = T.Tensor(gen.uniform(0, 1, (2, 1, size, size)))
+
+        def run(forward):
+            net.zero_grad()
+            out = forward(x)
+            T.backward(T.mse(out, target))
+            return out.data, {k: p.grad.copy() for k, p in net.parameters.items()}
+
+        fused, fused_grads = run(net.forward)
+        ref, ref_grads = run(lambda b: unfused_forward(net, b))
+        npt.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert fused_grads.keys() == ref_grads.keys()
+        for k, want in ref_grads.items():
+            npt.assert_allclose(fused_grads[k], want, rtol=1e-10,
+                                atol=1e-12 * max(np.abs(want).max(), 1e-300), err_msg=k)
+
+
 class TestFeatureNorm:
     def test_zeroed_parameters_give_zero_norms(self):
         net = build(small_cfg(), Rng(0))
@@ -141,12 +194,14 @@ class TestFeatureNorm:
         assert all(np.isfinite(n) and n >= 0 for n in norms)
 
     def test_matches_scalar_loop_norm(self):
+        # the reference builds the concatenated map the probe never builds
         net = build(small_cfg(), Rng(2))
         x = T.Tensor(np.random.default_rng(5).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
         _, feats = net.forward(x, return_features=True)
         norms = feature_norm(net, x)
-        for n, f in zip(norms, feats):
-            ref = l2_norm_loops(f.data)
+        assert len(norms) == len(feats)
+        for n, (low, skip) in zip(norms, feats):
+            ref = l2_norm_loops(T.concat_channels(T.upsample_nearest(low, 2), skip).data)
             assert abs(n - ref) <= 1e-5 * max(ref, 1e-12)
 
 

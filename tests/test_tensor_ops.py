@@ -9,7 +9,8 @@ from catunet import tensor as T
 from catunet.rng import Rng
 
 from oracles import (conv2d_backward_loops, conv2d_loops, maxpool2d_backward_loops,
-                     maxpool2d_loops, mse_loops, upsample_nearest_loops)
+                     maxpool2d_loops, mse_loops, upsample_backward_loops,
+                     upsample_nearest_loops)
 
 
 # conv2d column tiles to run the conv tests under: one column per tile, a
@@ -168,6 +169,96 @@ class TestConv2dBackward:
         monkeypatch.setattr(T, "TILE", 10 ** 6)
         for got, want in zip(tiled, run()):
             npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+def unfused_up_concat_conv2d(x_low, skip, w, b):
+    return T.conv2d(T.concat_channels(T.upsample_nearest(x_low, 2), skip), w, b, padding=1)
+
+
+class TestUpConcatConv2d:
+    # (n, ca, cb, cout, h, w): single channels, batch > 1, non-square
+    SHAPES = [(1, 1, 1, 1, 1, 1), (3, 1, 1, 1, 2, 3), (2, 3, 2, 4, 3, 5), (2, 1, 4, 2, 4, 2),
+              (1, 5, 3, 1, 6, 6)]
+
+    @staticmethod
+    def _run(fn, arrays, g):
+        ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*ts)
+        drive_backward(out, g)
+        return [out.data] + [t.grad for t in ts]
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_unfused_composition(self, shape, tile, monkeypatch):
+        # forward and all four gradients, float64, across tile widths
+        n, ca, cb, cout, h, w = shape
+        gen = np.random.default_rng(sum(shape))
+        arrays = [gen.uniform(-1, 1, (n, ca, h, w)), gen.uniform(-1, 1, (n, cb, 2 * h, 2 * w)),
+                  gen.uniform(-1, 1, (cout, ca + cb, 3, 3)), gen.uniform(-1, 1, cout)]
+        g = gen.uniform(-1, 1, (n, cout, 2 * h, 2 * w))
+        monkeypatch.setattr(T, "TILE", tile)
+        got = self._run(T.up_concat_conv2d, arrays, g)
+        want = self._run(unfused_up_concat_conv2d, arrays, g)
+        for name, a, b in zip(("out", "dx_low", "dskip", "dw", "db"), got, want):
+            npt.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(), err_msg=name)
+
+    def test_matches_loop_oracle(self):
+        gen = np.random.default_rng(61)
+        xl = gen.uniform(-1, 1, (2, 2, 3, 2))
+        sk = gen.uniform(-1, 1, (2, 3, 6, 4))
+        wd = gen.uniform(-1, 1, (2, 5, 3, 3))
+        bd = gen.uniform(-1, 1, 2)
+        g = gen.uniform(-1, 1, (2, 2, 6, 4))
+        cat = np.concatenate([upsample_nearest_loops(xl), sk], axis=1)
+        ref = conv2d_loops(cat, wd, bd, 1, 1)
+        dcat, dw, db = conv2d_backward_loops(cat, wd, g, 1, 1)
+        out, dxl, dsk, gw, gb = self._run(T.up_concat_conv2d, [xl, sk, wd, bd], g)
+        npt.assert_allclose(out, ref, atol=1e-12)
+        npt.assert_allclose(dxl, upsample_backward_loops(dcat[:, :2]), atol=1e-12)
+        npt.assert_allclose(dsk, dcat[:, 2:], atol=1e-12)
+        npt.assert_allclose(gw, dw, atol=1e-12)
+        npt.assert_allclose(gb, db, atol=1e-12)
+
+    def test_tiled_matches_one_tile_at_model_size(self, monkeypatch):
+        # the train-48 dec2 shape at batch 4 spans several tiles of the
+        # skip part and of the phase windows; tiling only regroups float32
+        # sums, so every result stays within rounding of one tile
+        gen = np.random.default_rng(24)
+        arrays = [gen.uniform(0, 1, (4, 12, 24, 24)).astype(np.float32),
+                  gen.uniform(0, 1, (4, 6, 48, 48)).astype(np.float32),
+                  (gen.standard_normal((6, 18, 3, 3)) * 0.1).astype(np.float32),
+                  gen.uniform(-1, 1, 6).astype(np.float32)]
+        g = gen.uniform(-1, 1, (4, 6, 48, 48)).astype(np.float32)
+        assert 4 * 26 * 26 > T.TILE // 4 and 4 * 50 * 50 > T.TILE
+        tiled = self._run(T.up_concat_conv2d, arrays, g)
+        monkeypatch.setattr(T, "TILE", 10 ** 6)
+        for got, want in zip(tiled, self._run(T.up_concat_conv2d, arrays, g)):
+            npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+    def test_float32_stays_float32(self):
+        gen = np.random.default_rng(3)
+        arrays = [gen.uniform(-1, 1, s).astype(np.float32)
+                  for s in ((2, 3, 4, 4), (2, 2, 8, 8), (4, 5, 3, 3), (4,))]
+        out, *grads = self._run(T.up_concat_conv2d, arrays, np.ones((2, 4, 8, 8), np.float32))
+        assert out.dtype == np.float32 and all(gr.dtype == np.float32 for gr in grads)
+        ref = unfused_up_concat_conv2d(*(T.Tensor(a.astype(np.float64)) for a in arrays)).data
+        npt.assert_allclose(out, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+    def test_collapse_rows_sum_the_taps_each_phase_reads(self):
+        # every 3x3 tap lands on exactly one window tap of each phase
+        npt.assert_array_equal(T.PHASE_COLLAPSE.reshape(4, 4, 9).sum(axis=1), np.ones((4, 9)))
+
+    @pytest.mark.parametrize("shapes, match", [
+        (((1, 2, 3, 3), (1, 1, 6, 5), (1, 3, 3, 3), (1,)), "skip is 1x6x5"),
+        (((1, 2, 3, 3), (2, 1, 6, 6), (1, 3, 3, 3), (1,)), "skip is 2x6x6"),
+        (((1, 2, 3, 3), (1, 1, 6, 6), (1, 4, 3, 3), (1,)), "expected 3x3x3"),
+        (((1, 2, 3, 3), (1, 1, 6, 6), (1, 3, 1, 1), (1,)), "expected 3x3x3"),
+        (((1, 2, 3, 3), (1, 1, 6, 6), (1, 3, 3, 3), (2,)), "bias shape"),
+        (((2, 3, 3), (1, 1, 6, 6), (1, 3, 3, 3), (1,)), "4-d x_low"),
+    ])
+    def test_shape_mismatch_names_dims(self, shapes, match):
+        with pytest.raises(T.ShapeError, match=match):
+            T.up_concat_conv2d(*(tensor(np.zeros(s)) for s in shapes))
 
 
 class TestMaxPool2d:
