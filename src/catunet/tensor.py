@@ -9,6 +9,12 @@ graph in reverse topological order and accumulates into `.grad`. Images are
 channels-first (N, C, H, W). Values are float32 by default; float arrays
 keep their dtype so checks can run the same code in float64.
 
+To keep a training step's memory down, `backward()` releases each
+intermediate gradient once its closure has pushed it on (leaves keep
+theirs), and the convolutions' backward rebuilds the zero-padded copy of
+its input instead of keeping it from the forward (memory for recompute:
+Chen et al. 2016, arXiv 1604.06174).
+
 Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
 zero-padded, channel-major copy of its input; the repack stays inside
 `conv2d`, so every op takes and returns NCHW. Each tap loop walks the
@@ -143,10 +149,16 @@ def topo_order(root: Tensor):
 
 
 def backward(loss: Tensor):
-    """Populate `.grad` on every tensor reachable from a scalar loss.
+    """Accumulate d(loss)/d(leaf) into `.grad` of every leaf reachable from
+    a scalar loss.
 
     Gradients accumulate, so a tensor feeding several consumers receives the
-    sum of its branch gradients.
+    sum of its branch gradients. A leaf (no `_parents`: a parameter, or an
+    input with `requires_grad`) keeps its gradient. Every other node's
+    `.grad` is released once its closure has pushed it to its parents, so
+    a step never holds all intermediate gradients at once. The closures
+    stay, so a second `backward` over the same graph adds the same leaf
+    gradients again.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {tuple(loss.shape)}")
@@ -154,6 +166,8 @@ def backward(loss: Tensor):
     for node in reversed(topo_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +246,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     d_max leading zero columns, gpad of shape (Cout, d_max + M), so junk
     columns contribute nothing. dX is gathered, the same loop as the
     forward: dxf[:, c] = sum over taps of w_tap.T @ gpad[:, d_max + c - d].
-    dW per tap sums gpad_tile @ xf_shift_tile.T over the column tiles.
+    dW per tap sums gpad_tile @ xf_shift_tile.T over the column tiles; xf
+    is rebuilt from x for that, so the graph does not hold a padded copy
+    of every conv input.
 
     Every tap loop walks the columns in tiles of TILE = 8192 (blocking the
     GEMM operands to cache: Goto & van de Geijn 2008; inside kn2row:
@@ -284,6 +300,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         # splits gf's unit-stride rows, so the reshape is a view into gpad
         gf.reshape(cout, n, hp, wp)[valid] = g.transpose(1, 0, 2, 3)
         if w.requires_grad:
+            xf = _channel_major(x.data, p)
             dw = np.zeros((len(taps), cout, cin), dtype=np.result_type(g, xf))
             _tap_weight_grads(gf, xf, shifts, span, dw)
             _accum(w, dw.transpose(1, 2, 0).reshape(w.shape))
@@ -336,7 +353,8 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
     part, dW comes from the same window tiles, one GEMM per phase, and
     dX_low from one GEMM per tile over the 16 shifted windows of the
     phases' output gradients, each phase scattered onto its own zero-led
-    low-res grid.
+    low-res grid. Like conv2d, dW rebuilds both padded grids instead of
+    keeping them from the forward.
     """
     for name, t in (("x_low", x_low), ("skip", skip), ("w", w)):
         if t.data.ndim != 4:
@@ -418,9 +436,10 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
         if w.requires_grad:
             dw = np.empty(w.shape, dtype=gtype)
             dws = np.zeros((9, cout, cb), dtype=gtype)
-            _tap_weight_grads(gpad[:, dmax:], sf, shifts, span, dws)
+            _tap_weight_grads(gpad[:, dmax:], _channel_major(skip.data, 1), shifts, span, dws)
             dw[:, ca:] = dws.transpose(1, 2, 0).reshape(cout, cb, 3, 3)
             dk = np.zeros((4, 4 * ca, cout), dtype=gtype)     # [phase][(r, s, ch), co]
+            lf = _channel_major(x_low.data, 1)
             wbuf = np.empty((4 * ca, wcols), dtype=dtype)
             for c0 in range(0, lspan, wtile):
                 c1 = min(c0 + wtile, lspan)

@@ -9,6 +9,9 @@ import pytest
 
 from catunet import tensor as T
 from catunet.gradcheck import grad_check, model_check, primitive_checks, relative_error
+from catunet.model import CatUNetConfig, build
+from catunet.rng import Rng
+from catunet.training import loss as training_loss
 
 from oracles import numeric_gradient
 
@@ -82,6 +85,36 @@ def test_topo_order_inputs_before_consumers():
     for node in order:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_second_backward_doubles_leaf_gradients():
+    gen = np.random.default_rng(8)
+    x = T.Tensor(gen.uniform(-1, 1, (2, 2, 5, 5)), requires_grad=True)
+    w = T.Tensor(gen.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+    b = T.Tensor(gen.uniform(-1, 1, 3), requires_grad=True)
+    tgt = T.Tensor(gen.uniform(-1, 1, (2, 3, 5, 5)))
+    loss = T.mse(T.relu(T.conv2d(x, w, b, padding=1)), tgt)
+    T.backward(loss)
+    first = [t.grad.copy() for t in (x, w, b)]
+    # the closures stay, so a second walk adds the same gradients again;
+    # intermediate gradients left over from the first walk would be
+    # pushed through twice
+    T.backward(loss)
+    for t, g in zip((x, w, b), first):
+        npt.assert_array_equal(t.grad, 2 * g)
+
+
+def test_backward_releases_intermediate_gradients():
+    net = build(CatUNetConfig(input_channels=1, input_size=16, depth=2, base_channels=4), Rng(0))
+    batch = T.Tensor(np.random.default_rng(4).uniform(0, 1, (2, 1, 16, 16)).astype(np.float32))
+    loss = training_loss(net, batch, training=True, dropout_rng=Rng(0).stream("dropout"))
+    order = T.topo_order(loss)
+    T.backward(loss)
+    inner = [node for node in order if node._parents]
+    assert inner, "the loss recorded no graph"
+    assert all(node.grad is None for node in inner)
+    missing = [k for k, p in net.parameters.items() if p.grad is None]
+    assert not missing, f"parameters without a gradient: {missing}"
 
 
 def test_no_grad_suppresses_graph():
