@@ -23,6 +23,19 @@ from .model import CatUNetModel
 INTENSITY_SCALE = 255.0
 
 
+def eval_batch(size: int) -> int:
+    """Samples per forward in `evaluate` for size x size images: as many as
+    fit, zero-padded, in one TILE of columns, and at least one.
+
+    Each image in a batch gets its batch-1 GEMM calls (tensor.py), so
+    batching changes no score. The rule gives 3 at 48 px, where 3 beat 4
+    on images/s (+11-19%) and peak RSS (-0.5 to -0.9 MB) in three paired
+    40 s score-48 benchmark runs on a 2-vCPU x86_64 VM, and batch 1 from
+    63 px up, 256 px included, where batching was not measured.
+    """
+    return max(1, T.TILE // (size + 2) ** 2)
+
+
 @dataclass
 class ThresholdConfig:
     sample_threshold: float = 50.0
@@ -64,16 +77,19 @@ def _as_batch(sample: np.ndarray) -> np.ndarray:
     return arr[None]
 
 
-def reconstruct(model: CatUNetModel, sample: np.ndarray) -> np.ndarray:
-    """Inference-mode forward pass for a single sample; returns (c, h, w).
+def _forward(model: CatUNetModel, batch: np.ndarray) -> np.ndarray:
+    """Inference-mode forward pass over an (n, c, h, w) batch.
 
-    An overflowing model yields inf/NaN silently here; `diagnose` names
-    the sample whose score is not finite.
+    An overflowing model yields inf/NaN silently here; `_judge` names the
+    sample whose score is not finite.
     """
-    batch = _as_batch(sample)
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        out = model.forward(T.Tensor(batch), training=False)
-    return out.data[0]
+        return model.forward(T.Tensor(batch), training=False).data
+
+
+def reconstruct(model: CatUNetModel, sample: np.ndarray) -> np.ndarray:
+    """Inference-mode forward pass for a single sample; returns (c, h, w)."""
+    return _forward(model, _as_batch(sample))[0]
 
 
 def error_map(sample: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
@@ -89,9 +105,13 @@ def error_map(sample: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
     return e.mean(axis=0) if e.ndim == 3 else e
 
 
-def score_from_pair(sample: np.ndarray, reconstruction: np.ndarray) -> float:
-    """The mean of the error map."""
-    return float(np.mean(error_map(sample, reconstruction)))
+def score_from_pair(sample: np.ndarray, reconstruction: np.ndarray,
+                    errors: np.ndarray | None = None) -> float:
+    """The mean of the error map; `errors` is that map when the caller has
+    built it already."""
+    if errors is None:
+        errors = error_map(sample, reconstruction)
+    return float(np.mean(errors))
 
 
 def classify(value: float, config: ThresholdConfig) -> str:
@@ -126,15 +146,27 @@ def otsu_threshold(values: np.ndarray) -> float:
     return float(edges[k + 1])
 
 
-def error_mask(sample: np.ndarray, reconstruction: np.ndarray,
-               config: ThresholdConfig) -> np.ndarray:
-    """Binarize the error map: 1 where the error is at or above the pixel
+def error_mask(errors: np.ndarray, config: ThresholdConfig) -> np.ndarray:
+    """Binarize an error map: 1 where the error is at or above the pixel
     threshold (Otsu-chosen when unset)."""
-    e = error_map(sample, reconstruction)
     t_px = config.pixel_threshold
     if t_px is None:
-        t_px = otsu_threshold(e)
-    return (e >= t_px).astype(np.uint8)
+        t_px = otsu_threshold(errors)
+    return (errors >= t_px).astype(np.uint8)
+
+
+def _judge(sample_id: str, sample: np.ndarray, recon: np.ndarray,
+           config: ThresholdConfig, with_mask: bool) -> DiagnosisResult:
+    """Score, label and (with `with_mask`) mask one sample from its
+    reconstruction, building its error map once for score and mask."""
+    errors = error_map(sample, recon)
+    value = score_from_pair(sample, recon, errors)
+    if not math.isfinite(value):
+        raise ValueError(f"sample '{sample_id}' scored {value}: the model's "
+                         "reconstruction is not finite")
+    label = classify(value, config)
+    mask = error_mask(errors, config) if with_mask else None
+    return DiagnosisResult(id=sample_id, score=value, label=label, mask=mask)
 
 
 def diagnose(model: CatUNetModel, sample_id: str, sample: np.ndarray,
@@ -142,19 +174,13 @@ def diagnose(model: CatUNetModel, sample_id: str, sample: np.ndarray,
     """Reconstruct, score and label one sample at batch 1, and binarize its
     error map when `with_mask` is set.
 
-    The one scoring path of `catunet evaluate` and `catunet diagnose`. A
-    non-finite score (an overflowing or NaN model) raises ValueError
-    naming the sample instead of becoming a label.
+    `catunet diagnose` runs it; `evaluate` runs the same steps on each
+    sample's slice of a batch. A non-finite score (an overflowing or NaN
+    model) raises ValueError naming the sample instead of becoming a
+    label.
     """
     x = _as_batch(sample)[0]
-    recon = reconstruct(model, x)
-    value = score_from_pair(x, recon)
-    if not math.isfinite(value):
-        raise ValueError(f"sample '{sample_id}' scored {value}: the model's "
-                         "reconstruction is not finite")
-    label = classify(value, config)
-    mask = error_mask(x, recon, config) if with_mask else None
-    return DiagnosisResult(id=sample_id, score=value, label=label, mask=mask)
+    return _judge(sample_id, x, reconstruct(model, x), config, with_mask)
 
 
 def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
@@ -162,15 +188,21 @@ def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
     """Diagnose each sample and fold the results into metrics; the one
     evaluation path of `catunet evaluate` and the end-to-end gates.
 
-    A mask is made only with `with_masks` and a `truth_mask`; no
-    reconstruction outlives its `diagnose` call. Dice is over the masked
-    samples (None when there are none), confusion over those with a
+    The forward runs over `eval_batch` samples at a time, and each sample is
+    judged from its slice as `diagnose` judges it, with the same bits. A
+    mask is made only with `with_masks` and a `truth_mask`; no
+    reconstruction outlives its batch. Dice is over the masked samples
+    (None when there are none), confusion over those with a
     `truth_label`, reconstruction accuracy over all of them: one minus
     the mean score, rescaled to the normalized [0,1] range.
     """
-    results = [diagnose(model, s.id, s.pixels, config,
-                        with_mask=with_masks and s.truth_mask is not None)
-               for s in samples]
+    results = []
+    step = eval_batch(model.config.input_size)
+    for i in range(0, len(samples), step):
+        chunk = samples[i:i + step]
+        xs = np.concatenate([_as_batch(s.pixels) for s in chunk])
+        results += [_judge(s.id, x, r, config, with_masks and s.truth_mask is not None)
+                    for s, x, r in zip(chunk, xs, _forward(model, xs))]
     dices = [mx.dice(r.mask, s.truth_mask) for r, s in zip(results, samples)
              if r.mask is not None]
     labeled = [(r.label, s.truth_label) for r, s in zip(results, samples)

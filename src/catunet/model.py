@@ -158,10 +158,14 @@ class CatUNetModel:
 
         features: List[Tuple[T.Tensor, T.Tensor]] = []
         for k in range(1, cfg.depth + 1):
-            skip = skips[cfg.depth - k]
-            features.append((x, skip))
+            # popped and deleted, so inference frees each skip once its
+            # level has run
+            skip = skips.pop()
+            if return_features:
+                features.append((x, skip))
             x = T.relu(T.up_concat_conv2d(x, skip, self.parameters[f"dec{k}_w"],
                                           self.parameters[f"dec{k}_b"]))
+            del skip
             if use_dropout:
                 x = T.dropout(x, cfg.dropout_rate, True, dropout_rng)
         out = self._conv("out", x, 0)

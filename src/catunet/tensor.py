@@ -24,6 +24,18 @@ slower once their operands outgrow the cache; the input gradient is
 gathered tile by tile from a zero-led gradient grid, so it runs the same
 loop as the forward.
 
+The forward tiles each image's columns from that image's first column
+and gives each image its own GEMM calls (numpy's stacked matmul calls
+BLAS once per image), so an image in a batch goes through the calls of
+its batch-1 forward and gets its bits. A BLAS may sum a column in
+another order depending on where the column falls in a call: OpenBLAS
+0.3.31's Haswell kernels, which it also runs on Zen, do that at every
+width, and its SkylakeX kernels in the ragged last `N mod 16` columns
+once the inner dimension reaches 32. Equal calls gave equal bits
+whatever the operands' offsets and row strides, checked with these
+kernels and the SandyBridge ones at 1 and 2 BLAS threads. The backward
+sweeps the whole batch at once; it needs no batch invariance.
+
 The polyphase identity: a 3x3 conv over a nearest-2x upsample equals four
 2x2 convs at the low resolution, one per output phase (row and column
 parity), each with the sums of the 3x3 taps that read the same low-res
@@ -174,25 +186,57 @@ def backward(loss: Tensor):
 # primitives
 
 
-def _tap_gemms(mats, src: np.ndarray, shifts, out: np.ndarray):
+def _tap_gemms(mats, src: np.ndarray, shifts, out: np.ndarray, ncols: int, block: int = 0):
     """out[:, c] = sum over taps t of mats[t] @ src[:, c + shifts[t]], for
-    every column c of `out`, one tile of at most TILE columns at a time.
+    the first `ncols` columns c of each block of `block` columns (of `out`
+    as one block when `block` is 0), one tile of at most TILE columns at a
+    time.
 
-    The first tap writes the tile and each later tap adds through one
-    (rows, tile) temporary, so taps are summed in order and a single tile
-    runs exactly the untiled operations. With an inner dimension of 1 a
-    tap is an outer product, which numpy's matmul computes several times
-    slower than a broadcast multiply.
+    Tiles start at each block's first column and each block gets its own
+    GEMM calls, so with one block per image each image gets the calls of
+    its batch-1 forward (see the module docstring). The first tap writes
+    the tile and each later tap adds through one temporary, so taps are
+    summed in order and a single tile runs exactly the untiled operations.
+    Blocks that fit a tile sum in a contiguous buffer that is copied out
+    once: numpy adds short strided rows ~3x slower than contiguous ones
+    (6 rows of 2398 floats: 8 against 2.3 us), while a second buffer for
+    wider tiles cost more than it saved (16 x 8192 floats, 2 BLAS threads:
+    256 px convs ran twice as slow). With an inner dimension of 1 a tap is
+    an outer product, which numpy's matmul computes several times slower
+    than a broadcast multiply.
     """
-    ncols = out.shape[1]
     mul = np.multiply if mats[0].shape[1] == 1 else np.matmul
-    tmp = np.empty((out.shape[0], min(TILE, ncols)), dtype=out.dtype)
-    for c0 in range(0, ncols, TILE):
-        c1 = min(c0 + TILE, ncols)
-        y, t = out[:, c0:c1], tmp[:, :c1 - c0]
-        mul(mats[0], src[:, c0 + shifts[0]:c1 + shifts[0]], out=y)
-        for a, s in zip(mats[1:], shifts[1:]):
-            y += mul(a, src[:, c0 + s:c1 + s], out=t)
+    if block and mul is np.multiply:
+        # elementwise products round alike wherever a column falls
+        ncols, block = out.shape[1] - block + ncols, 0
+    if block:
+        out, src = _per_block(out, block), _per_block(src, block)
+    else:
+        out, src = out[None], src[None]
+    nb, rows = out.shape[:2]
+    # blocks of at most TILE columns go as many at a time as fill a tile,
+    # wider ones one at a time
+    staged = ncols <= TILE
+    group = TILE // ncols if staged else 1
+    size = min(group, nb) * rows * min(TILE, ncols)
+    tmp = np.empty(2 * size if staged else size, dtype=out.dtype)
+    for b0 in range(0, nb, group):
+        b1 = min(b0 + group, nb)
+        for c0 in range(0, ncols, TILE):
+            c1 = min(c0 + TILE, ncols)
+            t = tmp[:(b1 - b0) * rows * (c1 - c0)].reshape(b1 - b0, rows, c1 - c0)
+            y = tmp[size:size + t.size].reshape(t.shape) if staged else out[b0:b1, :, c0:c1]
+            mul(mats[0], src[b0:b1, :, c0 + shifts[0]:c1 + shifts[0]], out=y)
+            for a, s in zip(mats[1:], shifts[1:]):
+                y += mul(a, src[b0:b1, :, c0 + s:c1 + s], out=t)
+            if staged:
+                out[b0:b1, :, c0:c1] = y
+
+
+def _per_block(a: np.ndarray, block: int) -> np.ndarray:
+    """(..., rows, n * block) -> the (..., n, rows, block) view, one
+    matrix per block of columns."""
+    return a.reshape(a.shape[:-1] + (-1, block)).swapaxes(-3, -2)
 
 
 def _tap_weight_grads(g: np.ndarray, src: np.ndarray, shifts, ncols: int, dw: np.ndarray):
@@ -205,12 +249,13 @@ def _tap_weight_grads(g: np.ndarray, src: np.ndarray, shifts, ncols: int, dw: np
 
 
 def _windows(src: np.ndarray, shifts, c0: int, ncols: int, buf: np.ndarray) -> np.ndarray:
-    """Stack the shifted column windows src[:, c0 + d:c0 + d + ncols], one
-    block of rows per shift d, into buf and return that (rows, ncols) view."""
-    rows = src.shape[0]
+    """Stack the shifted column windows src[..., c0 + d:c0 + d + ncols], one
+    block of rows per shift d, into buf and return that (..., rows, ncols)
+    view."""
+    rows = src.shape[-2]
     for t, d in enumerate(shifts):
-        buf[t * rows:(t + 1) * rows, :ncols] = src[:, c0 + d:c0 + d + ncols]
-    return buf[:, :ncols]
+        buf[..., t * rows:(t + 1) * rows, :ncols] = src[..., c0 + d:c0 + d + ncols]
+    return buf[..., :ncols]
 
 
 def _channel_major(a: np.ndarray, p: int) -> np.ndarray:
@@ -287,7 +332,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     xf = _channel_major(x.data, p)
     yf = np.empty((cout, m), dtype=np.result_type(x.data, w.data))
-    _tap_gemms([w.data[:, :, ki, kj] for ki, kj, _ in taps], xf, shifts, yf[:, :span])
+    _tap_gemms([w.data[:, :, ki, kj] for ki, kj, _ in taps], xf, shifts, yf,
+               hp * wp - dmax, hp * wp)
     out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
 
     def bwd(g: np.ndarray):
@@ -307,7 +353,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if x.requires_grad:
             dxf = np.empty((cin, m), dtype=np.result_type(g, w.data))
             _tap_gemms([w.data[:, :, ki, kj].T for ki, kj, _ in taps], gpad,
-                       [dmax - d for d in shifts], dxf)
+                       [dmax - d for d in shifts], dxf, m)
             _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
 
     return _result(out, (x, w, b), bwd)
@@ -386,7 +432,7 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
     # one contiguous (cout, cb) matrix per tap, which BLAS takes as is
     wskip = np.ascontiguousarray(w.data[:, ca:].transpose(2, 3, 0, 1)).reshape(9, cout, cb)
     yf = np.empty((cout, m), dtype=dtype)
-    _tap_gemms(wskip, sf, shifts, yf[:, :span])
+    _tap_gemms(wskip, sf, shifts, yf, hp * wp - dmax, hp * wp)
 
     # the upsampled part: four 2x2 phase convs on the padded low-res grid
     lhp, lwp = h + 2, wd + 2
@@ -402,14 +448,16 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
     k4[:, :, :-1] = k.transpose(0, 2, 1, 3).reshape(4, cout, 4 * ca)
     k4[:, :, -1] = b.data
     zf = np.empty((4, cout, ml), dtype=dtype)
-    wcols = min(wtile, lspan) + wshifts[-1]
-    buf = np.empty((4 * ca + 1, wcols), dtype=dtype)
-    buf[-1] = 1
-    for c0 in range(0, lspan, wtile):
-        c1 = min(c0 + wtile, lspan)
-        x4 = _windows(lf, wshifts, c0, c1 - c0 + wshifts[-1], buf)
+    # tiled per image, as _tap_gemms tiles the skip part
+    lspan1 = lhp * lwp - ldmax
+    lf1, zf1 = _per_block(lf, lhp * lwp), _per_block(zf, lhp * lwp)
+    buf = np.empty((n, 4 * ca + 1, min(wtile, lspan1) + wshifts[-1]), dtype=dtype)
+    buf[:, -1] = 1
+    for c0 in range(0, lspan1, wtile):
+        c1 = min(c0 + wtile, lspan1)
+        x4 = _windows(lf1, wshifts, c0, c1 - c0 + wshifts[-1], buf)
         for ph, d in enumerate(wshifts):
-            np.matmul(k4[ph], x4[:, d:d + c1 - c0], out=zf[ph, :, c0:c1])
+            np.matmul(k4[ph], x4[..., d:d + c1 - c0], out=zf1[ph, ..., c0:c1])
 
     # out[:, :, 2p + a, 2q + e] = skip part + phase (a, e) at (p, q)
     out = np.empty((n, cout, hh, ww), dtype=dtype)
@@ -440,7 +488,7 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
             dw[:, ca:] = dws.transpose(1, 2, 0).reshape(cout, cb, 3, 3)
             dk = np.zeros((4, 4 * ca, cout), dtype=gtype)     # [phase][(r, s, ch), co]
             lf = _channel_major(x_low.data, 1)
-            wbuf = np.empty((4 * ca, wcols), dtype=dtype)
+            wbuf = np.empty((4 * ca, min(wtile, lspan) + wshifts[-1]), dtype=dtype)
             for c0 in range(0, lspan, wtile):
                 c1 = min(c0 + wtile, lspan)
                 x4 = _windows(lf, wshifts, c0, c1 - c0 + wshifts[-1], wbuf)
@@ -451,7 +499,7 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
             _accum(w, dw)
         if skip.requires_grad:
             dsf = np.empty((cb, m), dtype=gtype)
-            _tap_gemms(wskip.transpose(0, 2, 1), gpad, [dmax - d for d in shifts], dsf)
+            _tap_gemms(wskip.transpose(0, 2, 1), gpad, [dmax - d for d in shifts], dsf, m)
             _accum(skip, dsf.reshape(cb, n, hp, wp)[:, :, 1:1 + hh, 1:1 + ww].transpose(1, 0, 2, 3))
         if x_low.requires_grad:
             # dX_low[:, c] = sum over phase (a, e), window tap (r, s) of

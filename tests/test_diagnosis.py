@@ -61,7 +61,7 @@ class TestErrorMap:
         assert dx.score_from_pair(img, recon) == float(np.mean(e))
         for t in (None, float(np.median(e))):
             cut = dx.otsu_threshold(e) if t is None else t
-            mask = dx.error_mask(img, recon, dx.ThresholdConfig(pixel_threshold=t))
+            mask = dx.error_mask(e, dx.ThresholdConfig(pixel_threshold=t))
             npt.assert_array_equal(mask, (e >= cut).astype(np.uint8))
 
     def test_channels_averaged_into_one_map(self):
@@ -109,14 +109,14 @@ class TestErrorMask:
     def test_perfect_reconstruction_gives_empty_mask(self):
         img = np.random.default_rng(0).uniform(0, 1, (1, 8, 8))
         cfg = dx.ThresholdConfig(pixel_threshold=1.0)
-        assert not dx.error_mask(img, img, cfg).any()
+        assert not dx.error_mask(dx.error_map(img, img), cfg).any()
 
     def test_quadrant_error_recovers_quadrant(self):
         img = np.full((16, 16), 0.5)
         recon = img.copy()
         recon[:8, :8] += 20.0 / 255.0  # squared error 400 in one quadrant
         cfg = dx.ThresholdConfig(pixel_threshold=100.0)
-        mask = dx.error_mask(img, recon, cfg)
+        mask = dx.error_mask(dx.error_map(img, recon), cfg)
         expected = np.zeros((16, 16), dtype=np.uint8)
         expected[:8, :8] = 1
         npt.assert_array_equal(mask, expected)
@@ -128,8 +128,8 @@ class TestErrorMask:
         recon[3:7, 4:9] += 0.3
         e = (255.0 * (img - recon)) ** 2
         t = dx.otsu_threshold(e)
-        auto = dx.error_mask(img, recon, dx.ThresholdConfig())
-        fixed = dx.error_mask(img, recon, dx.ThresholdConfig(pixel_threshold=t))
+        auto = dx.error_mask(dx.error_map(img, recon), dx.ThresholdConfig())
+        fixed = dx.error_mask(dx.error_map(img, recon), dx.ThresholdConfig(pixel_threshold=t))
         npt.assert_array_equal(auto, fixed)
 
     def test_otsu_separates_two_levels(self):
@@ -147,7 +147,7 @@ class TestErrorMask:
         img = np.zeros((1, 4, 4))
         recon = np.zeros((1, 4, 4))
         recon[0, 1, 1] = 0.5
-        mask = dx.error_mask(img, recon, dx.ThresholdConfig(pixel_threshold=1.0))
+        mask = dx.error_mask(dx.error_map(img, recon), dx.ThresholdConfig(pixel_threshold=1.0))
         assert mask.shape == (4, 4)
         assert mask[1, 1] == 1 and mask.sum() == 1
 
@@ -199,7 +199,7 @@ class TestDiagnose:
         value = dx.score_from_pair(img[None], recon)
         assert result.score == value
         assert result.label == dx.classify(value, cfg)
-        npt.assert_array_equal(result.mask, dx.error_mask(img[None], recon, cfg))
+        npt.assert_array_equal(result.mask, dx.error_mask(dx.error_map(img[None], recon), cfg))
         assert dx.diagnose(net, "s", img, cfg).mask is None
 
     @pytest.mark.parametrize("weight", [1e38, np.nan])
@@ -264,6 +264,32 @@ class TestEvaluate:
                                       dx.ThresholdConfig())
         mses = [r.score / dx.INTENSITY_SCALE ** 2 for r in results]
         assert report.reconstruction_accuracy == max(0.0, 1.0 - sum(mses) / len(mses))
+
+    def test_batch_is_what_fits_one_tile(self):
+        # three padded 48 px images fit TILE columns; from 63 px up it is
+        # batch 1, as `diagnose` runs
+        assert [dx.eval_batch(s) for s in (48, 62, 63, 256)] == [3, 2, 1, 1]
+        assert dx.eval_batch(8) * 10 ** 2 <= T.TILE < (dx.eval_batch(8) + 1) * 10 ** 2
+
+    def test_batched_forward_equals_per_sample_diagnose_bit_for_bit(self):
+        # the 48 px reference config, whose decoder GEMMs are where a batch
+        # could leave batch 1's bits; the last batch holds one sample
+        net = build(CatUNetConfig(input_channels=1, input_size=48, depth=2, base_channels=6),
+                    Rng(5))
+        gen = np.random.default_rng(13)
+        mask = np.zeros((48, 48), dtype=np.uint8)
+        mask[10:20, 20:30] = 1
+        samples = [ImageSample(id=f"s{i}", pixels=gen.uniform(0, 1, (1, 48, 48)).astype(np.float32),
+                               truth_label="Positive", truth_mask=mask)
+                   for i in range(2 * dx.eval_batch(48) + 1)]
+        scores = [dx.diagnose(net, s.id, s.pixels, dx.ThresholdConfig()).score for s in samples]
+        cfg = dx.ThresholdConfig(sample_threshold=float(np.median(scores)))
+        results, _ = dx.evaluate(net, samples, cfg, with_masks=True)
+        solo = [dx.diagnose(net, s.id, s.pixels, cfg, with_mask=True) for s in samples]
+        assert {r.label for r in solo} == {"Positive", "Negative"}
+        for r, d in zip(results, solo):
+            assert (r.id, r.score, r.label) == (d.id, d.score, d.label)
+            npt.assert_array_equal(r.mask, d.mask)
 
 
 class TestCalibration:

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -101,6 +102,40 @@ class TestForward:
         x = T.Tensor(np.random.default_rng(2).uniform(0, 1, (2, 1, 16, 16)).astype(np.float32))
         npt.assert_array_equal(net.forward(x, training=False).data,
                                net.forward(x, training=False).data)
+
+    def test_batch_of_8_equals_each_solo_forward_bit_for_bit(self):
+        # the reference config (48 px, depth 2, base 6): its decoder's phase
+        # GEMMs have inner dimensions 97 and 49, where OpenBLAS's SkylakeX
+        # kernels sum a ragged last 16 columns in another order
+        cfg = CatUNetConfig(input_channels=1, input_size=48, depth=2, base_channels=6)
+        net = build(cfg, Rng(3))
+        x = np.random.default_rng(4).uniform(0, 1, (8, 1, 48, 48)).astype(np.float32)
+        with T.no_grad():
+            batch = net.forward(T.Tensor(x)).data
+            for i in range(len(x)):
+                npt.assert_array_equal(batch[i:i + 1], net.forward(T.Tensor(x[i:i + 1])).data,
+                                       err_msg=f"image {i}")
+
+    def test_inference_frees_each_skip_once_its_level_ran(self, monkeypatch):
+        net = build(small_cfg(depth=3), Rng(0))
+        skips, alive_at_out = [], []
+        fused, conv = T.up_concat_conv2d, T.conv2d
+
+        def fused_spy(x_low, skip, w, b):
+            skips.append(weakref.ref(skip.data))
+            return fused(x_low, skip, w, b)
+
+        def conv_spy(x, w, *args, **kwargs):
+            if w.name == "out_w":
+                alive_at_out.extend(ref() is not None for ref in skips)
+            return conv(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(T, "up_concat_conv2d", fused_spy)
+        monkeypatch.setattr(T, "conv2d", conv_spy)
+        x = T.Tensor(np.random.default_rng(1).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
+        with T.no_grad():
+            net.forward(x)
+        assert alive_at_out == [False] * 3
 
     def test_training_dropout_changes_output_and_needs_rng(self):
         net = build(small_cfg(dropout_rate=0.5), Rng(3))

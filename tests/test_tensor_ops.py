@@ -1,6 +1,8 @@
 """Forward and backward semantics of the primitive ops against brute-force
 oracles."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -169,6 +171,64 @@ class TestConv2dBackward:
         monkeypatch.setattr(T, "TILE", 10 ** 6)
         for got, want in zip(tiled, run()):
             npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+class TestBatchInvariance:
+    """A ragged batch of 5 gives each image's batch-1 result bit for bit,
+    also where a GEMM's inner dimension reaches 32, from which OpenBLAS's
+    SkylakeX kernels sum a ragged last 16 columns in another order."""
+
+    def test_conv2d_wide_input(self):
+        gen = np.random.default_rng(32)
+        # batch 1 is one GEMM of 1846 columns per tap, a ragged 6 past the
+        # last 16; the batch's 9680 columns would take two tiles in one sweep
+        x = gen.uniform(0, 1, (5, 32, 42, 42)).astype(np.float32)
+        w = T.Tensor((gen.standard_normal((12, 32, 3, 3)) * 0.1).astype(np.float32))
+        b = T.Tensor(gen.uniform(-1, 1, 12).astype(np.float32))
+        assert 5 * 44 * 44 > T.TILE
+        out = T.conv2d(T.Tensor(x), w, b, padding=1).data
+        for i in range(len(x)):
+            npt.assert_array_equal(out[i:i + 1], T.conv2d(T.Tensor(x[i:i + 1]), w, b, padding=1).data,
+                                   err_msg=f"image {i}")
+
+    # (ca, cb, cout, h): the reference model's dec1 and dec2
+    @pytest.mark.parametrize("ca, cb, cout, h", [(24, 12, 12, 12), (12, 6, 6, 24)])
+    def test_up_concat_conv2d(self, ca, cb, cout, h):
+        gen = np.random.default_rng(ca)
+        x_low = gen.uniform(0, 1, (5, ca, h, h)).astype(np.float32)
+        skip = gen.uniform(0, 1, (5, cb, 2 * h, 2 * h)).astype(np.float32)
+        w = T.Tensor((gen.standard_normal((cout, ca + cb, 3, 3)) * 0.1).astype(np.float32))
+        b = T.Tensor(gen.uniform(-1, 1, cout).astype(np.float32))
+        out = T.up_concat_conv2d(T.Tensor(x_low), T.Tensor(skip), w, b).data
+        for i in range(len(x_low)):
+            solo = T.up_concat_conv2d(T.Tensor(x_low[i:i + 1]), T.Tensor(skip[i:i + 1]), w, b)
+            npt.assert_array_equal(out[i:i + 1], solo.data, err_msg=f"image {i}")
+
+
+    def test_each_image_gets_the_gemm_calls_of_batch_1(self, monkeypatch):
+        # holds on any BLAS, also on one whose bits would not show a change
+        # of calls: a stacked matmul calls BLAS once per matrix
+        calls, matmul = Counter(), np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            calls[a.shape, b.shape[-2:]] += b.shape[0] if b.ndim == 3 else 1
+            return matmul(a, b, *args, **kwargs)
+
+        gen = np.random.default_rng(5)
+        x = gen.uniform(0, 1, (5, 12, 24, 24)).astype(np.float32)
+        skip = gen.uniform(0, 1, (5, 6, 48, 48)).astype(np.float32)
+        wc = T.Tensor(gen.standard_normal((12, 12, 3, 3)).astype(np.float32))
+        wu = T.Tensor(gen.standard_normal((6, 18, 3, 3)).astype(np.float32))
+        bc, bu = T.Tensor(np.zeros(12, np.float32)), T.Tensor(np.zeros(6, np.float32))
+        monkeypatch.setattr(np, "matmul", spy)
+        per_n = {}
+        with T.no_grad():
+            for n in (5, 1):
+                calls.clear()
+                low = T.conv2d(T.Tensor(x[:n]), wc, bc, padding=1)
+                T.up_concat_conv2d(low, T.Tensor(skip[:n]), wu, bu)
+                per_n[n] = dict(calls)
+        assert per_n[1] and per_n[5] == {k: 5 * v for k, v in per_n[1].items()}
 
 
 def unfused_up_concat_conv2d(x_low, skip, w, b):
