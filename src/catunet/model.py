@@ -18,6 +18,8 @@ concatenation: upsampled channels first, then the skip's.
 
 import io
 import json
+import os
+import secrets
 import struct
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
@@ -226,7 +228,13 @@ def feature_norm(model: CatUNetModel, batch: T.Tensor) -> List[float]:
 
 
 def save_checkpoint(model: CatUNetModel, path: str):
-    """Versioned binary snapshot; parameters stored as raw little-endian f32."""
+    """Versioned binary snapshot; parameters stored as raw little-endian f32.
+
+    The bytes go to a temp file in `path`'s directory that then replaces
+    `path` in one rename, so a save that fails or is killed midway leaves
+    the previous checkpoint as it was (no fsync: this guards against the
+    process dying, not the machine).
+    """
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -242,8 +250,17 @@ def save_checkpoint(model: CatUNetModel, path: str):
         for d in p.data.shape:
             buf.write(struct.pack("<I", d))
         buf.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    # not tempfile.mkstemp: its 0600 mode would outlive the rename
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> CatUNetModel:

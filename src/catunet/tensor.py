@@ -13,7 +13,9 @@ To keep a training step's memory down, `backward()` releases each
 intermediate gradient once its closure has pushed it on (leaves keep
 theirs), and the convolutions' backward rebuilds the zero-padded copy of
 its input instead of keeping it from the forward (memory for recompute:
-Chen et al. 2016, arXiv 1604.06174).
+Chen et al. 2016, arXiv 1604.06174). What the graph does keep for the
+elementwise ops is compact: max-pooling's routing index takes one byte
+per output for 2x2 windows, dropout's keep mask one bool per element.
 
 Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
 zero-padded, channel-major copy of its input; the repack stays inside
@@ -525,6 +527,13 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tuple[Tensor, np.nda
     each window, ties resolved to the first element in row-major order);
     the indices route the gradient to the max positions. Both passes loop
     over the size*size window offsets, each a strided view of the input.
+
+    The output is np.maximum folded over the views. The index is then the
+    number of leading views that miss the maximum, which is the first
+    maximum, held in the smallest unsigned type that fits size*size - 1
+    (one byte for the model's 2x2 windows). A window holding NaN pools to
+    NaN; NaN equals nothing, so its index is the window's last position
+    and its gradient goes there.
     """
     if size < 1 or stride < 1:
         raise ValueError(f"maxpool2d: size and stride must be >= 1, got size={size} stride={stride}")
@@ -535,13 +544,15 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tuple[Tensor, np.nda
     offsets = [(slice(None), slice(None), slice(a, a + stride * (ho - 1) + 1, stride),
                 slice(e, e + stride * (wo - 1) + 1, stride))
                for a in range(size) for e in range(size)]
-    out = x.data[offsets[0]].copy()
-    idx = np.zeros(out.shape, dtype=np.int64)
-    for k, view in enumerate(offsets[1:], start=1):
-        v = x.data[view]
-        # strict > keeps the first maximum; np.maximum still carries a NaN
-        np.copyto(idx, k, where=v > out)
+    views = [x.data[o] for o in offsets]
+    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+    for v in views[2:]:
         np.maximum(out, v, out=out)
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(size * size - 1))
+    miss = np.ones(out.shape, dtype=bool)
+    for v in views[:-1]:
+        miss &= v != out
+        idx += miss
 
     def bwd(g: np.ndarray):
         if not x.requires_grad:
@@ -601,12 +612,16 @@ def relu(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate) so the expectation is unchanged; identity at inference."""
+    1/(1-rate) so the expectation is unchanged; identity at inference.
+
+    One float64 uniform per element decides which survive; the graph keeps
+    that decision as a bool mask, a quarter of a float32 one.
+    """
     if not 0 <= rate < 1:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0:
         return x
-    keep = (rng.random(size=x.shape) >= rate).astype(x.data.dtype)
+    keep = rng.random(size=x.shape) >= rate
     scale_ = 1.0 / (1.0 - rate)
     out = x.data * keep * scale_
 

@@ -252,6 +252,34 @@ class TestCheckpoint:
         x = T.Tensor(np.random.default_rng(3).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
         npt.assert_array_equal(net.forward(x).data, loaded.forward(x).data)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.catu"
+        save_checkpoint(build(small_cfg(), Rng(1)), str(path))
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes half of what it is given, then fails."""
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(model_module, "open", lambda name, mode: FullDisk(open(name, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(build(small_cfg(), Rng(2)), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.catu"]
+
     def test_load_does_not_build(self, tmp_path, monkeypatch):
         # the file's arrays become the parameters; nothing is initialized
         # only to be overwritten

@@ -32,6 +32,17 @@ def drive_backward(out, g):
     T.backward(T.mse(out, target))
 
 
+def push_gradient(out, g):
+    """Run `out`'s backward closure on exactly `g` (drive_backward goes
+    through an MSE, which may round it)."""
+    out._backward(np.asarray(g, dtype=out.dtype))
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         out = T.conv2d(tensor([[[[5.0]]]]), tensor([[[[1.0]]]]), tensor([0.0]))
@@ -366,6 +377,34 @@ class TestMaxPool2d:
             npt.assert_array_equal(idx, maxpool2d_loops(x.data, size, stride)[1])
             npt.assert_allclose(x.grad, maxpool2d_backward_loops(x.data, g, size, stride), atol=1e-12)
 
+    def test_relu_ties_match_oracle_bitwise(self):
+        # a ReLU'd float32 map: about half the inputs are exact zeros, so
+        # many windows tie at 0 and must route to their first position
+        gen = np.random.default_rng(17)
+        x = T.relu(T.Tensor(gen.standard_normal((2, 3, 10, 12)).astype(np.float32)))
+        assert 0.4 < (x.data == 0).mean() < 0.6
+        x = T.Tensor(x.data, requires_grad=True)
+        out, idx = T.maxpool2d(x)
+        ref, ref_idx = maxpool2d_loops(x.data)
+        assert idx.dtype == np.uint8
+        assert_same_bits(out.data, ref.astype(np.float32))
+        npt.assert_array_equal(idx, ref_idx)
+        g = gen.standard_normal(out.shape).astype(np.float32)
+        push_gradient(out, g)
+        assert_same_bits(x.grad, maxpool2d_backward_loops(x.data, g).astype(np.float32))
+
+    def test_nan_window_pools_to_nan_and_routes_to_its_last_position(self):
+        # NaN equals nothing, so no position of a NaN window matches its
+        # maximum; a window without NaN routes to its first maximum
+        x = tensor([[[[1.0, np.nan, np.nan, 7.0, 5.0, 2.0],
+                      [3.0, 0.0, 2.0, 1.0, 1.0, 5.0]]]], requires_grad=True)
+        out, idx = T.maxpool2d(x)
+        assert np.isnan(out.data[0, 0, 0, :2]).all() and out.data[0, 0, 0, 2] == 5.0
+        npt.assert_array_equal(idx[0, 0, 0], [3, 3, 0])
+        push_gradient(out, [[[[2.0, 3.0, 4.0]]]])
+        npt.assert_array_equal(x.grad[0, 0], [[0, 0, 0, 0, 4, 0],
+                                               [0, 2, 0, 3, 0, 0]])
+
     def test_floor_semantics_on_odd_size(self):
         out, _ = T.maxpool2d(tensor(np.zeros((1, 1, 5, 7))), 2, 2)
         assert out.shape == (1, 1, 2, 3)
@@ -487,6 +526,20 @@ class TestDropout:
         a = T.dropout(x, 0.5, True, Rng(9).stream("dropout")).data
         b = T.dropout(x, 0.5, True, Rng(9).stream("dropout")).data
         npt.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_dyadic_rate_matches_float_mask_bitwise(self, dtype):
+        # 1 / (1 - 0.3) is inexact, so the order of the two products shows
+        rate = 0.3
+        gen = np.random.default_rng(6)
+        x = T.Tensor(gen.uniform(-2, 2, (2, 3, 5, 7)).astype(dtype), requires_grad=True)
+        out = T.dropout(x, rate, True, Rng(21).stream("dropout"))
+        keep = (Rng(21).stream("dropout").random(size=x.shape) >= rate).astype(dtype)
+        scale = 1 / (1 - rate)
+        assert_same_bits(out.data, x.data * keep * scale)
+        g = gen.uniform(-1, 1, out.shape).astype(dtype)
+        push_gradient(out, g)
+        assert_same_bits(x.grad, g * keep * scale)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
