@@ -24,6 +24,7 @@ import numpy as np
 from . import data_io as dio
 from . import diagnosis as dx
 from . import gradcheck as gc
+from .artifacts import write_atomic
 from .model import CatUNetConfig, CheckpointError, build, load_checkpoint, save_checkpoint
 from .rng import Rng
 from .training import TrainingConfig, train
@@ -110,9 +111,7 @@ def _echo_resolved(path: str, model_cfg: CatUNetConfig,
         "training": dataclasses.asdict(train_cfg),
         "paths": paths,
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .metrics import NEGATIVE, POSITIVE
 from .rng import Rng
 
@@ -137,9 +138,7 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         raise ValueError(f"PGM images must be uint8, got {arr.dtype}")
     h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
 
 
 def _read_png(path: str) -> np.ndarray:
@@ -407,7 +406,6 @@ def synthesize(config: SynthConfig, out_dir: str) -> dict:
         "n_negative": config.n_negative,
         "samples": entries,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import metrics as mx
 from . import tensor as T
+from .artifacts import write_atomic
 from .metrics import NEGATIVE, POSITIVE
 from .model import CatUNetModel
 
@@ -216,9 +217,7 @@ def evaluate(model: CatUNetModel, samples: list, config: ThresholdConfig,
 
 
 def write_jsonl(results: list[DiagnosisResult], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        for r in results:
-            fh.write(r.to_json_line() + "\n")
+    write_atomic(path, "".join(r.to_json_line() + "\n" for r in results))
 
 
 def calibrate_pixel_threshold(error_maps, truth_masks) -> float:

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_atomic
+
 logger = logging.getLogger("catunet.metrics")
 
 POSITIVE = "Positive"
@@ -40,10 +42,9 @@ class ConfusionMatrix:
         return (self.tp + self.tn) / self.total if self.total else None
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",predicted_positive,predicted_negative\n")
-            fh.write(f"actual_positive,{self.tp},{self.fn}\n")
-            fh.write(f"actual_negative,{self.fp},{self.tn}\n")
+        write_atomic(path, ",predicted_positive,predicted_negative\n"
+                           f"actual_positive,{self.tp},{self.fn}\n"
+                           f"actual_negative,{self.fp},{self.tn}\n")
 
 
 def confusion(predicted, actual) -> ConfusionMatrix:
@@ -124,5 +125,4 @@ class MetricsReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def write_json(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_json())
+        write_atomic(path, self.to_json())

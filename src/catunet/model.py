@@ -14,12 +14,15 @@ The decoder's upsample, concatenation and 3x3 conv run as one primitive,
 (one 2x2 conv per output phase) and never builds the upsampled or the
 concatenated map. `dec{k}_w` is still the weight of the conv over the
 concatenation: upsampled channels first, then the skip's.
+
+Every conv but the linear `out` runs with `relu=True`: ReLU is the conv's
+epilogue, not a node of its own, so a training graph holds one map per
+conv layer (5 * depth + 2 non-leaf 4-d nodes with dropout on).
 """
 
 import io
 import json
-import os
-import secrets
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
+from .artifacts import write_atomic
 from .rng import Rng
 
 CHECKPOINT_MAGIC = b"CATU"
@@ -51,16 +55,23 @@ class CatUNetConfig:
         self.validate()
 
     def validate(self):
-        problems = []
+        sizes = ("input_channels", "input_size", "depth", "base_channels")
+        problems = [f"{k} must be an integer, got {getattr(self, k)!r}" for k in sizes
+                    if not isinstance(getattr(self, k), int)]
+        if problems:
+            raise ValueError("invalid config: " + "; ".join(problems))
         if self.depth < 1:
             problems.append(f"depth must be >= 1, got {self.depth}")
         if self.base_channels < 1:
             problems.append(f"base_channels must be >= 1, got {self.base_channels}")
         if self.input_channels < 1:
             problems.append(f"input_channels must be >= 1, got {self.input_channels}")
-        if self.input_size < 1 or self.input_size % (2 ** self.depth) != 0:
-            problems.append(
-                f"input_size must be a positive multiple of 2^depth={2 ** self.depth}, got {self.input_size}")
+        # a multiple of 2^depth has more than depth bits, so a huge depth
+        # fails here before 2^depth is computed
+        if (self.input_size < 1 or self.input_size.bit_length() <= self.depth
+                or self.input_size % 2 ** self.depth):
+            problems.append(f"input_size must be a positive multiple of 2^depth=2^{self.depth}, "
+                            f"got {self.input_size}")
         if not 0 <= self.dropout_rate < 1:
             problems.append(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if problems:
@@ -121,9 +132,9 @@ class CatUNetModel:
         for p in self.parameters.values():
             p.zero_grad()
 
-    def _conv(self, name: str, x: T.Tensor, padding: int) -> T.Tensor:
+    def _conv(self, name: str, x: T.Tensor, padding: int, relu: bool = True) -> T.Tensor:
         return T.conv2d(x, self.parameters[f"{name}_w"], self.parameters[f"{name}_b"],
-                        stride=1, padding=padding)
+                        stride=1, padding=padding, relu=relu)
 
     def forward(self, batch: T.Tensor, training: bool = False,
                 dropout_rng: Optional[np.random.Generator] = None,
@@ -152,11 +163,11 @@ class CatUNetModel:
         x = batch
         skips: List[T.Tensor] = []
         for i in range(cfg.depth):
-            x = T.relu(self._conv(f"enc{i}_conv1", x, pad))
-            x = T.relu(self._conv(f"enc{i}_conv2", x, pad))
+            x = self._conv(f"enc{i}_conv1", x, pad)
+            x = self._conv(f"enc{i}_conv2", x, pad)
             skips.append(x)
             x, _ = T.maxpool2d(x, 2, 2)
-        x = T.relu(self._conv("bottleneck", x, pad))
+        x = self._conv("bottleneck", x, pad)
 
         features: List[Tuple[T.Tensor, T.Tensor]] = []
         for k in range(1, cfg.depth + 1):
@@ -165,12 +176,12 @@ class CatUNetModel:
             skip = skips.pop()
             if return_features:
                 features.append((x, skip))
-            x = T.relu(T.up_concat_conv2d(x, skip, self.parameters[f"dec{k}_w"],
-                                          self.parameters[f"dec{k}_b"]))
+            x = T.up_concat_conv2d(x, skip, self.parameters[f"dec{k}_w"],
+                                   self.parameters[f"dec{k}_b"], relu=True)
             del skip
             if use_dropout:
                 x = T.dropout(x, cfg.dropout_rate, True, dropout_rng)
-        out = self._conv("out", x, 0)
+        out = self._conv("out", x, 0, relu=False)
         if return_features:
             return out, features
         return out
@@ -228,13 +239,8 @@ def feature_norm(model: CatUNetModel, batch: T.Tensor) -> List[float]:
 
 
 def save_checkpoint(model: CatUNetModel, path: str):
-    """Versioned binary snapshot; parameters stored as raw little-endian f32.
-
-    The bytes go to a temp file in `path`'s directory that then replaces
-    `path` in one rename, so a save that fails or is killed midway leaves
-    the previous checkpoint as it was (no fsync: this guards against the
-    process dying, not the machine).
-    """
+    """Versioned binary snapshot; parameters stored as raw little-endian f32,
+    written atomically (`write_atomic`)."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -250,17 +256,7 @@ def save_checkpoint(model: CatUNetModel, path: str):
         for d in p.data.shape:
             buf.write(struct.pack("<I", d))
         buf.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    # not tempfile.mkstemp: its 0600 mode would outlive the rename
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    f = open(tmp, "xb")
-    try:
-        with f:
-            f.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    write_atomic(path, buf.getvalue())
 
 
 def load_checkpoint(path: str) -> CatUNetModel:
@@ -282,7 +278,7 @@ def load_checkpoint(path: str) -> CatUNetModel:
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
     try:
         config = CatUNetConfig.from_json(take(cfg_len, "config").decode("utf-8"))
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, RecursionError) as e:
         raise CheckpointError(f"bad config block: {e}") from e
     (count,) = struct.unpack("<I", take(4, "parameter count"))
     shapes = dict(_parameter_shapes(config))
@@ -292,18 +288,20 @@ def load_checkpoint(path: str) -> CatUNetModel:
     values: Dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        # a name that is not UTF-8 matches no parameter
+        name = take(name_len, "name").decode("utf-8", "backslashreplace")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n_vals = int(np.prod(dims)) if rank else 1
-        vals = np.frombuffer(take(4 * n_vals, f"values of {name}"), dtype="<f4").reshape(dims)
+        # name and shape are checked before the values are read, so the
+        # config bounds the read
         if name not in shapes:
             raise CheckpointError(f"unexpected parameter {name!r} in checkpoint")
         if name in values:
             raise CheckpointError(f"parameter {name!r} appears twice in checkpoint")
-        if shapes[name] != vals.shape:
+        if shapes[name] != dims:
             raise CheckpointError(
-                f"parameter {name!r} has shape {vals.shape}, config implies {shapes[name]}")
+                f"parameter {name!r} has shape {dims}, config implies {shapes[name]}")
+        vals = np.frombuffer(take(4 * math.prod(dims), f"values of {name}"), dtype="<f4").reshape(dims)
         if not np.isfinite(vals).all():
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
         values[name] = vals.astype(np.float32)

@@ -13,9 +13,16 @@ To keep a training step's memory down, `backward()` releases each
 intermediate gradient once its closure has pushed it on (leaves keep
 theirs), and the convolutions' backward rebuilds the zero-padded copy of
 its input instead of keeping it from the forward (memory for recompute:
-Chen et al. 2016, arXiv 1604.06174). What the graph does keep for the
-elementwise ops is compact: max-pooling's routing index takes one byte
-per output for 2x2 windows, dropout's keep mask one bool per element.
+Chen et al. 2016, arXiv 1604.06174). With `relu=True` a convolution
+applies ReLU in its epilogue and its backward takes the ReLU mask from
+the clamped output (`out > 0` selects the same elements as `x > 0` of the
+pre-activation x, NaN included), so the graph keeps one map per conv
+layer and no pre-activation (the output-side backward of In-Place
+Activated BatchNorm: Rota Bulo et al. 2018, arXiv 1712.02616). What the
+graph keeps for the other elementwise ops is compact: max-pooling's
+routing index takes one byte per output for 2x2 windows, dropout's keep
+mask one bool per element. `relu` stays as a primitive, the reference of
+the fused epilogue.
 
 Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
 zero-padded, channel-major copy of its input; the repack stays inside
@@ -269,7 +276,8 @@ def _channel_major(a: np.ndarray, p: int) -> np.ndarray:
     return xf.reshape(c, -1)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
+           relu: bool = False) -> Tensor:
     """2D cross-correlation over (N, Cin, H, W) with zero padding.
 
     Output spatial size is floor((H + 2*padding - kh) / stride) + 1.
@@ -304,6 +312,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     tap spans tens of thousands of columns; 8192 measured fastest for a
     whole training step. With M <= TILE (a 48 px image at batch 1) each
     loop runs one tile, the same operations as an untiled loop.
+
+    `relu=True` is relu(conv2d(...)) as one node: the epilogue clamps the
+    biased output in place, and the backward first masks the incoming
+    gradient by that output, g * (out > 0), then runs as above. Output and
+    gradients equal `relu` of the unfused op bit for bit, in values and
+    memory layout.
     """
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
@@ -337,8 +351,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     _tap_gemms([w.data[:, :, ki, kj] for ki, kj, _ in taps], xf, shifts, yf,
                hp * wp - dmax, hp * wp)
     out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g: np.ndarray):
+        if relu:
+            g = g * (out > 0)
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if not (w.requires_grad or x.requires_grad):
@@ -373,7 +391,8 @@ PHASE_COLLAPSE = (np.multiply.outer(_WINDOW_ROWS, _WINDOW_ROWS)    # [a, r, ki, 
                   .transpose(0, 3, 1, 4, 2, 5).reshape(16, 9))
 
 
-def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
+                     relu: bool = False) -> Tensor:
     """conv2d(concat_channels(upsample_nearest(x_low, 2), skip), w, b,
     padding=1) for a 3x3 kernel, without building the upsampled, the
     concatenated or a padded full-resolution copy of x_low.
@@ -402,7 +421,8 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
     dX_low from one GEMM per tile over the 16 shifted windows of the
     phases' output gradients, each phase scattered onto its own zero-led
     low-res grid. Like conv2d, dW rebuilds both padded grids instead of
-    keeping them from the forward.
+    keeping them from the forward, and `relu=True` clamps the output in
+    place and masks the incoming gradient by it (conv2d's epilogue).
     """
     for name, t in (("x_low", x_low), ("skip", skip), ("w", w)):
         if t.data.ndim != 4:
@@ -469,8 +489,12 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tenso
     for a in range(2):
         for e in range(2):
             np.add(y6[:, :, :, a, :, e], z[a, e], out=out6[:, :, :, a, :, e])
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g: np.ndarray):
+        if relu:
+            g = g * (out > 0)
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if not (w.requires_grad or x_low.requires_grad or skip.requires_grad):

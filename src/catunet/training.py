@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
+from .artifacts import write_atomic
 from .model import CatUNetModel, feature_norm, save_checkpoint
 from .rng import Rng
 
@@ -90,11 +91,10 @@ class TrainReport:
     def to_csv(self, path: str) -> None:
         # repr() gives the shortest round-trip decimal form, so two runs
         # that produce identical floats produce identical bytes.
-        with open(path, "w", newline="") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for r in self.records:
-                fh.write(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},"
-                         f"{r.lr!r},{r.max_feature_norm!r}\n")
+        write_atomic(path, "".join(
+            [self.CSV_HEADER + "\n"]
+            + [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r},{r.max_feature_norm!r}\n"
+               for r in self.records]))
 
 
 def split(dataset: np.ndarray, validation_fraction: float,

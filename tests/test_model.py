@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from catunet import artifacts
 from catunet import model as model_module
 from catunet import tensor as T
 from catunet.model import (CatUNetConfig, CheckpointError, build, feature_norm,
@@ -121,9 +122,9 @@ class TestForward:
         skips, alive_at_out = [], []
         fused, conv = T.up_concat_conv2d, T.conv2d
 
-        def fused_spy(x_low, skip, w, b):
+        def fused_spy(x_low, skip, w, b, **kwargs):
             skips.append(weakref.ref(skip.data))
-            return fused(x_low, skip, w, b)
+            return fused(x_low, skip, w, b, **kwargs)
 
         def conv_spy(x, w, *args, **kwargs):
             if w.name == "out_w":
@@ -213,6 +214,63 @@ class TestFusedDecoder:
                                 atol=1e-12 * max(np.abs(want).max(), 1e-300), err_msg=k)
 
 
+def composed_forward(net, batch, dropout_rng):
+    """The training forward with each hidden conv followed by its own
+    `T.relu` node, the composition the fused epilogue replaces."""
+    depth = net.config.depth
+    p = net.parameters
+
+    def conv(name, x, padding=1):
+        return T.conv2d(x, p[f"{name}_w"], p[f"{name}_b"], padding=padding)
+
+    x, skips = batch, []
+    for i in range(depth):
+        x = T.relu(conv(f"enc{i}_conv2", T.relu(conv(f"enc{i}_conv1", x))))
+        skips.append(x)
+        x, _ = T.maxpool2d(x, 2, 2)
+    x = T.relu(conv("bottleneck", x))
+    for k in range(1, depth + 1):
+        x = T.relu(T.up_concat_conv2d(x, skips.pop(), p[f"dec{k}_w"], p[f"dec{k}_b"]))
+        x = T.dropout(x, net.config.dropout_rate, True, dropout_rng)
+    return conv("out", x, 0)
+
+
+class TestFusedRelu:
+    def test_training_step_matches_composed_relu_bit_for_bit(self):
+        cfg = CatUNetConfig(input_channels=1, input_size=16, depth=3, base_channels=4,
+                            dropout_rate=0.5)
+        net = build(cfg, Rng(7))
+        gen = np.random.default_rng(7)
+        x = T.Tensor(gen.uniform(0, 1, (2, 1, 16, 16)).astype(np.float32))
+
+        def run(forward):
+            net.zero_grad()
+            loss = T.mse(forward(x, Rng(8).stream("dropout")), x)
+            T.backward(loss)
+            return loss.data, {k: p.grad for k, p in net.parameters.items()}
+
+        loss, grads = run(lambda b, rng: net.forward(b, training=True, dropout_rng=rng))
+        ref_loss, ref_grads = run(lambda b, rng: composed_forward(net, b, rng))
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for k, want in ref_grads.items():
+            assert grads[k].dtype == want.dtype == np.float32, k
+            assert grads[k].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_training_graph_holds_one_map_per_layer(self, depth):
+        # per level: two convs and a pool down, a conv and a dropout up;
+        # plus the bottleneck and the output conv. No ReLU node.
+        cfg = CatUNetConfig(input_channels=1, input_size=2 ** (depth + 1), depth=depth,
+                            base_channels=2, dropout_rate=0.5)
+        net = build(cfg, Rng(0))
+        size = cfg.input_size
+        x = T.Tensor(np.random.default_rng(0).uniform(0, 1, (1, 1, size, size)).astype(np.float32))
+        loss = T.mse(net.forward(x, training=True, dropout_rng=Rng(1).stream("dropout")), x)
+        maps = [t for t in T.topo_order(loss) if t._parents and t.data.ndim == 4]
+        assert len(maps) == 5 * depth + 2
+
+
 class TestFeatureNorm:
     def test_zeroed_parameters_give_zero_norms(self):
         net = build(small_cfg(), Rng(0))
@@ -273,7 +331,7 @@ class TestCheckpoint:
                 self.f.flush()
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(model_module, "open", lambda name, mode: FullDisk(open(name, mode)),
+        monkeypatch.setattr(artifacts, "open", lambda name, mode: FullDisk(open(name, mode)),
                             raising=False)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(build(small_cfg(), Rng(2)), str(path))
@@ -358,6 +416,42 @@ class TestCheckpoint:
         path = str(tmp_path / "m.catu")
         self._save_with_header_key(path, key, value)
         with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("depth", 2.0, "depth must be an integer"),
+        ("base_channels", "4", "base_channels must be an integer"),
+        # would take 2^(10^9) before the size check
+        ("depth", 10 ** 9, "multiple of 2\\^depth"),
+    ])
+    def test_config_of_wrong_type_or_range_raises_load_error(self, tmp_path, key, value, match):
+        path = str(tmp_path / "m.catu")
+        self._save_with_header_key(path, key, value)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _save_with_first_entry(path, entry):
+        """Save a small model, then put `entry` where its parameter entries
+        begin; the parameter count still matches the config."""
+        save_checkpoint(build(small_cfg(), Rng(0)), path)
+        raw = open(path, "rb").read()
+        (cfg_len,) = struct.unpack("<I", raw[8:12])
+        open(path, "wb").write(raw[:16 + cfg_len] + entry)
+
+    def test_dims_whose_product_overflows_raise_load_error(self, tmp_path):
+        # 65536^4 = 2^64 elements, which np.prod wraps to 0 in int64
+        path = str(tmp_path / "m.catu")
+        self._save_with_first_entry(
+            path, struct.pack("<H", 12) + b"enc0_conv1_w" + struct.pack("<B4I", 4, *[65536] * 4))
+        with pytest.raises(CheckpointError, match="config implies"):
+            load_checkpoint(path)
+
+    def test_name_that_is_not_utf8_raises_load_error(self, tmp_path):
+        path = str(tmp_path / "m.catu")
+        self._save_with_first_entry(
+            path, struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BI", 1, 4) + bytes(16))
+        with pytest.raises(CheckpointError, match="unexpected parameter"):
             load_checkpoint(path)
 
     def test_reference_model_header_loads(self):

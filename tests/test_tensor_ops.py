@@ -332,6 +332,56 @@ class TestUpConcatConv2d:
             T.up_concat_conv2d(*(tensor(np.zeros(s)) for s in shapes))
 
 
+def backprop(out, g):
+    """Run the backward pass of `out`'s graph from exactly the upstream
+    gradient `g`, as `T.backward` does from a scalar loss."""
+    out.grad = np.asarray(g, dtype=out.dtype)
+    for node in reversed(T.topo_order(out)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestFusedRelu:
+    """`relu=True` clamps the conv's output in place and masks the incoming
+    gradient by that output; it must equal `T.relu` of the unfused op bit
+    for bit, in values and in memory layout."""
+
+    @staticmethod
+    def _run(op, arrays, g):
+        ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*ts)
+        backprop(out, g)
+        return [out.data] + [t.grad for t in ts]
+
+    def _check(self, fused, composed, linear, shapes, seed, dtype):
+        # small integers, so many pre-activations are exactly 0, and one NaN
+        gen = np.random.default_rng(seed)
+        arrays = [gen.integers(-1, 2, s).astype(dtype) for s in shapes]
+        arrays[0].flat[gen.integers(arrays[0].size)] = np.nan
+        pre = linear(*(T.Tensor(a) for a in arrays)).data
+        assert (pre == 0).any() and np.isnan(pre).any() and (pre > 0).any()
+        g = gen.uniform(-1, 1, pre.shape).astype(dtype)
+        got, want = self._run(fused, arrays, g), self._run(composed, arrays, g)
+        for k, (a, b) in enumerate(zip(got, want)):     # output, then each gradient
+            assert a.strides == b.strides, k
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_equals_relu_of_conv2d(self, stride, dtype):
+        self._check(lambda x, w, b: T.conv2d(x, w, b, stride=stride, padding=1, relu=True),
+                    lambda x, w, b: T.relu(T.conv2d(x, w, b, stride=stride, padding=1)),
+                    lambda x, w, b: T.conv2d(x, w, b, stride=stride, padding=1),
+                    [(2, 3, 7, 6), (4, 3, 3, 3), (4,)], 10 + stride, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_up_concat_conv2d_equals_relu_of_it(self, dtype):
+        self._check(lambda *ts: T.up_concat_conv2d(*ts, relu=True),
+                    lambda *ts: T.relu(T.up_concat_conv2d(*ts)),
+                    T.up_concat_conv2d,
+                    [(2, 2, 3, 4), (2, 3, 6, 8), (4, 5, 3, 3), (4,)], 12, dtype)
+
+
 class TestMaxPool2d:
     def test_single_window(self):
         out, _ = T.maxpool2d(tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
