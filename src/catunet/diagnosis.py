@@ -237,6 +237,9 @@ def calibrate_pixel_threshold(error_maps, truth_masks) -> float:
                          f"{len(truth_masks)} masks")
     if not error_maps:
         raise ValueError("cannot calibrate on an empty map list")
+    bad = [i for i, e in enumerate(error_maps) if not np.isfinite(e).all()]
+    if bad:
+        raise ValueError(f"error maps at positions {bad} hold NaN or inf")
     pooled = np.concatenate([e.ravel() for e in error_maps])
     grid = np.percentile(pooled, np.linspace(75.0, 99.9, 80))
     best_t, best_d = None, -1.0
@@ -254,6 +257,9 @@ def calibrate_from_positives(scores, margin: float = 1.5) -> float:
     scores = [float(s) for s in scores]
     if not scores:
         raise ValueError("cannot calibrate on an empty score list")
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    bad = [s for s in scores if not math.isfinite(s)]
+    if bad:
+        raise ValueError(f"scores must be finite, got {bad}")
+    if not (math.isfinite(margin) and margin > 0):
+        raise ValueError(f"margin must be finite and positive, got {margin}")
     return max(scores) * margin

@@ -100,7 +100,7 @@ def primitive_checks(seed: int = 0) -> Dict[str, float]:
 
     def drop_loss():
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
-        return T.mse(T.dropout(xd, 0.5, True, g), dtgt)
+        return T.mse(T.dropout(xd, 0.5, g), dtgt)
 
     errs["dropout"] = grad_check(drop_loss, [xd])
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,9 @@ def reconstruction_accuracy(mses) -> float:
     mses = [float(m) for m in mses]
     if not mses:
         raise ValueError("reconstruction_accuracy needs at least one image MSE")
+    bad = [m for m in mses if not math.isfinite(m)]
+    if bad:
+        raise ValueError(f"image MSEs must be finite, got {bad}")
     acc = 1.0 - sum(mses) / len(mses)
     if acc < 0.0:
         logger.warning("reconstruction accuracy %.6g is negative; clamping to 0", acc)

@@ -132,9 +132,9 @@ class CatUNetModel:
         for p in self.parameters.values():
             p.zero_grad()
 
-    def _conv(self, name: str, x: T.Tensor, padding: int, relu: bool = True) -> T.Tensor:
-        return T.conv2d(x, self.parameters[f"{name}_w"], self.parameters[f"{name}_b"],
-                        stride=1, padding=padding, relu=relu)
+    def _conv(self, name: str, x: T.Tensor, relu: bool = True) -> T.Tensor:
+        w = self.parameters[f"{name}_w"]
+        return T.conv2d(x, w, self.parameters[f"{name}_b"], padding=w.shape[-1] // 2, relu=relu)
 
     def forward(self, batch: T.Tensor, training: bool = False,
                 dropout_rng: Optional[np.random.Generator] = None,
@@ -144,7 +144,7 @@ class CatUNetModel:
         `training=True` activates decoder dropout and requires `dropout_rng`
         (unless the configured rate is 0). With `return_features=True` the
         output comes with each decoder level's `(x_low, skip)` pair; that
-        level's conv reads `concat_channels(upsample_nearest(x_low, 2), skip)`,
+        level's conv reads `concat_channels(upsample_nearest(x_low), skip)`,
         which `T.up_concat_conv2d` never builds.
         """
         cfg = self.config
@@ -159,15 +159,14 @@ class CatUNetModel:
         if use_dropout and dropout_rng is None:
             raise ValueError("forward: training mode with dropout needs a dropout_rng")
 
-        pad = KERNEL_SIZE // 2
         x = batch
         skips: List[T.Tensor] = []
         for i in range(cfg.depth):
-            x = self._conv(f"enc{i}_conv1", x, pad)
-            x = self._conv(f"enc{i}_conv2", x, pad)
+            x = self._conv(f"enc{i}_conv1", x)
+            x = self._conv(f"enc{i}_conv2", x)
             skips.append(x)
-            x, _ = T.maxpool2d(x, 2, 2)
-        x = self._conv("bottleneck", x, pad)
+            x, _ = T.maxpool2d(x)
+        x = self._conv("bottleneck", x)
 
         features: List[Tuple[T.Tensor, T.Tensor]] = []
         for k in range(1, cfg.depth + 1):
@@ -180,8 +179,8 @@ class CatUNetModel:
                                    self.parameters[f"dec{k}_b"], relu=True)
             del skip
             if use_dropout:
-                x = T.dropout(x, cfg.dropout_rate, True, dropout_rng)
-        out = self._conv("out", x, 0, relu=False)
+                x = T.dropout(x, cfg.dropout_rate, dropout_rng)
+        out = self._conv("out", x, relu=False)
         if return_features:
             return out, features
         return out

@@ -20,9 +20,9 @@ pre-activation x, NaN included), so the graph keeps one map per conv
 layer and no pre-activation (the output-side backward of In-Place
 Activated BatchNorm: Rota Bulo et al. 2018, arXiv 1712.02616). What the
 graph keeps for the other elementwise ops is compact: max-pooling's
-routing index takes one byte per output for 2x2 windows, dropout's keep
-mask one bool per element. `relu` stays as a primitive, the reference of
-the fused epilogue.
+routing index takes one byte per output, dropout's keep mask one bool
+per element. `relu` stays as a primitive, the reference of the fused
+epilogue.
 
 Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
 zero-padded, channel-major copy of its input; the repack stays inside
@@ -123,9 +123,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -393,7 +390,7 @@ PHASE_COLLAPSE = (np.multiply.outer(_WINDOW_ROWS, _WINDOW_ROWS)    # [a, r, ki, 
 
 def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
                      relu: bool = False) -> Tensor:
-    """conv2d(concat_channels(upsample_nearest(x_low, 2), skip), w, b,
+    """conv2d(concat_channels(upsample_nearest(x_low), skip), w, b,
     padding=1) for a 3x3 kernel, without building the upsampled, the
     concatenated or a padded full-resolution copy of x_low.
 
@@ -543,36 +540,29 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
     return _result(out, (x_low, skip, w, b), bwd)
 
 
-def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tuple[Tensor, np.ndarray]:
-    """Window maximum over (N, C, H, W); floor semantics when H or W is not
-    divisible by the stride (trailing rows/cols are dropped).
+def maxpool2d(x: Tensor) -> Tuple[Tensor, np.ndarray]:
+    """2x2 window maximum at stride 2 over (N, C, H, W); an odd trailing
+    row or column is dropped (floor semantics).
 
-    Returns the pooled tensor and the argmax indices (flat position within
-    each window, ties resolved to the first element in row-major order);
-    the indices route the gradient to the max positions. Both passes loop
-    over the size*size window offsets, each a strided view of the input.
-
-    The output is np.maximum folded over the views. The index is then the
-    number of leading views that miss the maximum, which is the first
-    maximum, held in the smallest unsigned type that fits size*size - 1
-    (one byte for the model's 2x2 windows). A window holding NaN pools to
+    Returns the pooled tensor and, as uint8, the position (0-3, row-major)
+    of each window's first maximum, which routes the gradient. Both passes
+    loop over the four window offsets, each a strided view of the input:
+    the output is np.maximum folded over the views, and the index the
+    number of leading views that miss it. A window holding NaN pools to
     NaN; NaN equals nothing, so its index is the window's last position
     and its gradient goes there.
     """
-    if size < 1 or stride < 1:
-        raise ValueError(f"maxpool2d: size and stride must be >= 1, got size={size} stride={stride}")
     n, c, h, w = x.shape
-    if h < size or w < size:
-        raise ShapeError(f"maxpool2d: window {size}x{size} exceeds input {h}x{w}")
-    ho, wo = (h - size) // stride + 1, (w - size) // stride + 1
-    offsets = [(slice(None), slice(None), slice(a, a + stride * (ho - 1) + 1, stride),
-                slice(e, e + stride * (wo - 1) + 1, stride))
-               for a in range(size) for e in range(size)]
+    if h < 2 or w < 2:
+        raise ShapeError(f"maxpool2d: input is {h}x{w}, smaller than the 2x2 window")
+    ho, wo = h // 2, w // 2
+    offsets = [(slice(None), slice(None), slice(a, 2 * ho, 2), slice(e, 2 * wo, 2))
+               for a in range(2) for e in range(2)]
     views = [x.data[o] for o in offsets]
-    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+    out = np.maximum(views[0], views[1])
     for v in views[2:]:
         np.maximum(out, v, out=out)
-    idx = np.zeros(out.shape, dtype=np.min_scalar_type(size * size - 1))
+    idx = np.zeros(out.shape, dtype=np.uint8)
     miss = np.ones(out.shape, dtype=bool)
     for v in views[:-1]:
         miss &= v != out
@@ -589,16 +579,13 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tuple[Tensor, np.nda
     return _result(out, (x,), bwd), idx
 
 
-def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    """Replicate each pixel into a factor x factor block."""
-    if factor < 1:
-        raise ValueError(f"upsample_nearest: factor must be >= 1, got {factor}")
-    out = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Replicate each pixel into a 2x2 block."""
+    out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def bwd(g: np.ndarray):
         if x.requires_grad:
-            _accum(x, sum(g[:, :, a::factor, e::factor]
-                          for a in range(factor) for e in range(factor)))
+            _accum(x, sum(g[:, :, a::2, e::2] for a in range(2) for e in range(2)))
 
     return _result(out, (x,), bwd)
 
@@ -634,16 +621,17 @@ def relu(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate) so the expectation is unchanged; identity at inference.
+    1/(1-rate) so the expectation is unchanged. The model applies it in
+    training only.
 
     One float64 uniform per element decides which survive; the graph keeps
     that decision as a bool mask, a quarter of a float32 one.
     """
     if not 0 <= rate < 1:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0:
+    if rate == 0:
         return x
     keep = rng.random(size=x.shape) >= rate
     scale_ = 1.0 / (1.0 - rate)

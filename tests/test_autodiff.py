@@ -78,7 +78,7 @@ def test_two_consumers_accumulate():
 def test_topo_order_inputs_before_consumers():
     x = T.Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
     y = T.relu(x)
-    z = T.upsample_nearest(y, 2)
+    z = T.upsample_nearest(y)
     loss = T.mse(z, T.Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)))
     order = T.topo_order(loss)
     pos = {id(t): i for i, t in enumerate(order)}

@@ -3,6 +3,9 @@
 import json
 import logging
 import os
+import re
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -116,6 +119,77 @@ class TestLoadImage:
         path = tmp_path / "img.tiff"
         path.write_bytes(b"xx")
         with pytest.raises(ValueError, match="unsupported image format"):
+            dio.load_image(str(path))
+
+
+def _stub_pillow(monkeypatch, open_image):
+    """Install a stand-in `PIL` whose `Image.open` is `open_image`, so the
+    PNG reader runs without Pillow."""
+    image = types.ModuleType("PIL.Image")
+    image.open = open_image
+    pil = types.ModuleType("PIL")
+    pil.Image = image
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    monkeypatch.setitem(sys.modules, "PIL.Image", image)
+
+
+class _StubPng:
+    """What the stub `Image.open` returns: a context manager whose "L"
+    conversion is a fixed 8-bit raster."""
+
+    def __init__(self, raster):
+        self.raster = raster
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def convert(self, mode):
+        assert mode == "L"
+        return self.raster
+
+
+class TestLoadPng:
+    RASTER = np.array([[0, 51], [255, 102]], dtype=np.uint8)
+
+    def test_l_raster_scaled_to_unit_range(self, tmp_path, monkeypatch):
+        opened = []
+        _stub_pillow(monkeypatch, lambda path: opened.append(path) or _StubPng(self.RASTER))
+        path = tmp_path / "scan.png"
+        path.write_bytes(b"not decoded by the stub")
+        sample = dio.load_image(str(path))
+        assert opened == [str(path)]
+        assert sample.id == "scan"
+        assert sample.pixels.dtype == np.float32
+        assert np.array_equal(sample.pixels, self.RASTER[None].astype(np.float32) / 255.0)
+
+    def test_load_dataset_reads_png_next_to_pgm(self, tmp_path, monkeypatch):
+        _stub_pillow(monkeypatch, lambda path: _StubPng(self.RASTER))
+        (tmp_path / "positive").mkdir()
+        (tmp_path / "positive" / "a.png").write_bytes(b"")
+        _write_gray(tmp_path / "positive" / "b.pgm", 10, size=2)
+        positives, _, _ = dio.load_dataset(str(tmp_path))
+        assert [s.id for s in positives] == ["a", "b"]
+        assert np.array_equal(positives[0].pixels, self.RASTER[None].astype(np.float32) / 255.0)
+
+    def test_missing_pillow_names_the_png_extra(self, tmp_path, monkeypatch):
+        # a None entry makes `from PIL import Image` raise ImportError
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        (tmp_path / "positive").mkdir()
+        (tmp_path / "positive" / "a.png").write_bytes(b"")
+        with pytest.raises(ValueError, match="install the 'png' extra"):
+            dio.load_dataset(str(tmp_path))
+
+    def test_decoder_error_names_the_file(self, tmp_path, monkeypatch):
+        def broken(path):
+            raise OSError("image file is truncated")
+
+        _stub_pillow(monkeypatch, broken)
+        path = tmp_path / "broken.png"
+        path.write_bytes(b"\x89PNG")
+        with pytest.raises(ValueError, match=re.escape(f"cannot decode PNG '{path}': image file is truncated")):
             dio.load_image(str(path))
 
 

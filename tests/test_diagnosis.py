@@ -299,6 +299,18 @@ class TestCalibration:
         with pytest.raises(ValueError, match="empty"):
             dx.calibrate_from_positives([])
 
+    # max() skips a NaN that is not first, so the NaN's position varies
+    @pytest.mark.parametrize("scores", [[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0],
+                                        [1.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_score_rejected(self, scores):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            dx.calibrate_from_positives(scores)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin must be finite"):
+            dx.calibrate_from_positives([1.0, 2.0], margin=margin)
+
 
 class TestPixelThresholdCalibration:
     def _maps_with_hot_square(self, gen, n, size=16, hot=900.0, cold=50.0):
@@ -349,3 +361,10 @@ class TestPixelThresholdCalibration:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             dx.calibrate_pixel_threshold([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        maps, masks = self._maps_with_hot_square(np.random.default_rng(3), 3)
+        maps[1][0, 0] = bad
+        with pytest.raises(ValueError, match=r"error maps at positions \[1\] hold NaN or inf"):
+            dx.calibrate_pixel_threshold(maps, masks)

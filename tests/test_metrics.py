@@ -42,6 +42,11 @@ class TestReconstructionAccuracy:
         with pytest.raises(ValueError, match="at least one"):
             mx.reconstruction_accuracy([])
 
+    @pytest.mark.parametrize("mses", [[0.1, np.nan], [np.inf], [0.1, -np.inf]])
+    def test_non_finite_rejected(self, mses):
+        with pytest.raises(ValueError, match="MSEs must be finite"):
+            mx.reconstruction_accuracy(mses)
+
     def test_perturbation_strictly_decreases(self):
         mses = [0.001, 0.002]
         base = mx.reconstruction_accuracy(mses)

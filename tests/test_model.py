@@ -167,7 +167,7 @@ class TestForward:
 
 def unfused_forward(net, batch):
     """The network with each decoder level run as the unfused composition
-    conv2d(concat_channels(upsample_nearest(x, 2), skip)) of the kept
+    conv2d(concat_channels(upsample_nearest(x), skip)) of the kept
     primitives; no dropout."""
     depth = net.config.depth
     p = net.parameters
@@ -176,10 +176,10 @@ def unfused_forward(net, batch):
         for j in (1, 2):
             x = T.relu(T.conv2d(x, p[f"enc{i}_conv{j}_w"], p[f"enc{i}_conv{j}_b"], padding=1))
         skips.append(x)
-        x, _ = T.maxpool2d(x, 2, 2)
+        x, _ = T.maxpool2d(x)
     x = T.relu(T.conv2d(x, p["bottleneck_w"], p["bottleneck_b"], padding=1))
     for k in range(1, depth + 1):
-        x = T.concat_channels(T.upsample_nearest(x, 2), skips[depth - k])
+        x = T.concat_channels(T.upsample_nearest(x), skips[depth - k])
         x = T.relu(T.conv2d(x, p[f"dec{k}_w"], p[f"dec{k}_b"], padding=1))
     return T.conv2d(x, p["out_w"], p["out_b"])
 
@@ -227,11 +227,11 @@ def composed_forward(net, batch, dropout_rng):
     for i in range(depth):
         x = T.relu(conv(f"enc{i}_conv2", T.relu(conv(f"enc{i}_conv1", x))))
         skips.append(x)
-        x, _ = T.maxpool2d(x, 2, 2)
+        x, _ = T.maxpool2d(x)
     x = T.relu(conv("bottleneck", x))
     for k in range(1, depth + 1):
         x = T.relu(T.up_concat_conv2d(x, skips.pop(), p[f"dec{k}_w"], p[f"dec{k}_b"]))
-        x = T.dropout(x, net.config.dropout_rate, True, dropout_rng)
+        x = T.dropout(x, net.config.dropout_rate, dropout_rng)
     return conv("out", x, 0)
 
 
@@ -294,7 +294,7 @@ class TestFeatureNorm:
         norms = feature_norm(net, x)
         assert len(norms) == len(feats)
         for n, (low, skip) in zip(norms, feats):
-            ref = l2_norm_loops(T.concat_channels(T.upsample_nearest(low, 2), skip).data)
+            ref = l2_norm_loops(T.concat_channels(T.upsample_nearest(low), skip).data)
             assert abs(n - ref) <= 1e-5 * max(ref, 1e-12)
 
 
