@@ -262,4 +262,8 @@ def calibrate_from_positives(scores, margin: float = 1.5) -> float:
         raise ValueError(f"scores must be finite, got {bad}")
     if not (math.isfinite(margin) and margin > 0):
         raise ValueError(f"margin must be finite and positive, got {margin}")
-    return max(scores) * margin
+    threshold = max(scores) * margin
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold overflows: largest score {max(scores)} times margin {margin} "
+                         "is not finite")
+    return threshold

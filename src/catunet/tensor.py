@@ -24,14 +24,16 @@ routing index takes one byte per output, dropout's keep mask one bool
 per element. `relu` stays as a primitive, the reference of the fused
 epilogue.
 
-Convolution runs as one BLAS GEMM per kernel tap over shifted views of a
-zero-padded, channel-major copy of its input; the repack stays inside
-`conv2d`, so every op takes and returns NCHW. Each tap loop walks the
-flattened columns in tiles of `TILE` columns, because OpenBLAS runs this
-model's thin GEMMs (a few rows, thousands of columns) several times
-slower once their operands outgrow the cache; the input gradient is
-gathered tile by tile from a zero-led gradient grid, so it runs the same
-loop as the forward.
+Convolution runs as one BLAS GEMM per kernel row over shifted views of a
+zero-padded, channel-major copy of its input (`_row_gemms`); the repack
+stays inside `conv2d`, so every op takes and returns NCHW. The input
+gradient runs the same loop over a zero-led gradient grid with the
+flipped kernel, and the weight gradient one GEMM per tap and tile
+(`_tap_weight_grads`). The loops walk the flattened columns in tiles,
+because OpenBLAS runs this model's thin GEMMs (a few rows, thousands of
+columns) at half the rate or less past a size bound: the forward in tiles
+of `TILE` columns, the backward's GEMMs in tiles as wide as keep them
+under OpenBLAS's small-matrix bound (`_gemm_cols`).
 
 The forward tiles each image's columns from that image's first column
 and gives each image its own GEMM calls (numpy's stacked matmul calls
@@ -63,12 +65,30 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 
-# Columns per GEMM in conv2d's tap loops. On a 2-vCPU x86_64 VM with
-# OpenBLAS 0.3.31 on one thread, a (6x18)@(18xn) tap ran at 59 GFLOP/s for
-# n = 8192 and 12 GFLOP/s for n = 20000; a whole 48 px batch-8 training
-# step took a median 25 ms with 8192-column tiles, 29-32 ms with 2048,
-# 4096 or 16384.
+# Columns per tile of the forward's kernel-row GEMMs, which start at each
+# image's first column; also the width that sets the staging groups, the
+# fused decoder op's phase tiles (a quarter of it) and `evaluate`'s batch.
+# On a 2-vCPU x86_64 VM (OpenBLAS 0.3.31, SkylakeX kernels, 2 threads) a
+# 48 px batch-8 training step took a median 12.9 ms with 8192-column tiles,
+# 12.6 with 16384 and 15.9 with 4096 (8 interleaved rounds); a 256 px
+# batch-2 step took 395-409 ms with any of the three.
 TILE = 8192
+
+# OpenBLAS 0.3.31's SkylakeX build runs a single-precision GEMM whose
+# M*N*K is at most 10**6 through its small-matrix kernel and a larger one
+# through its blocked path, at half the rate or less for this model's
+# shapes: on the VM above, at one BLAS thread, a 16x16 @ 16xn tap took
+# 16.7 us for n = 3906 and 34.0 us for n = 3907 (119 -> 59 GFLOP/s). Its
+# Haswell and SandyBridge builds have no such kernel. The backward's GEMMs
+# take their column tiles from this bound (`_gemm_cols`), or TILE where it
+# leaves fewer than MIN_COLS columns: there the shorter tiles' extra calls
+# cost more than the kernel saves. On the VM above, at 2 BLAS threads, the
+# 32x32 weight gradient at 976 columns ran 18.3 -> 11.2 ms per 128 px
+# batch-2 layer and the 16 -> 32 input gradient at 651 columns 7.2 -> 6.6
+# ms, while the 64x32 weight gradient at 488 columns ran 4.6 -> 5.3 ms and
+# the 32 -> 32 input gradient at 325 columns 9.3 -> 12.6 ms.
+SMALL_GEMM = 10 ** 6
+MIN_COLS = 512
 
 
 class ShapeError(ValueError):
@@ -192,51 +212,84 @@ def backward(loss: Tensor):
 # primitives
 
 
-def _tap_gemms(mats, src: np.ndarray, shifts, out: np.ndarray, ncols: int, block: int = 0):
-    """out[:, c] = sum over taps t of mats[t] @ src[:, c + shifts[t]], for
-    the first `ncols` columns c of each block of `block` columns (of `out`
-    as one block when `block` is 0), one tile of at most TILE columns at a
-    time.
+def _row_gemms(rows_w: np.ndarray, src: np.ndarray, wp: int, out: np.ndarray, ncols: int,
+               tile: int, block: int = 0):
+    """out[:, c] = sum over kernel rows ki of rows_w[ki] @ stack(c + ki*wp)
+    for the first `ncols` columns c of each block of `block` columns (of
+    `out` as one block when `block` is 0), one tile of at most `tile`
+    columns at a time. stack(c) stacks src[:, c + kj] for kj < kw as kw
+    blocks of rows, and rows_w[ki] is kernel row ki as a (rows, kw*cin)
+    matrix (`_kernel_rows`).
+
+    Each tile's kw column-shifted windows, widened by (kh - 1)*wp columns,
+    are copied once into a buffer of kw*cin rows per block, and kernel row
+    ki reads that buffer ki*wp columns on. So a 3x3 kernel costs 3 GEMMs
+    and 2 adds per tile instead of 9 and 8, and each GEMM's inner
+    dimension is 3*cin, at which OpenBLAS runs this model's thin layers
+    (cin of 1 to 64) at a higher rate (stacked kn2row: Vasudevan et al.
+    2017, arXiv 1704.04428; stacking one kernel row, not all nine taps,
+    keeps the copy at kw times a tile and the GEMMs wide at 48 px). On a
+    2-vCPU x86_64 VM (OpenBLAS 0.3.31, SkylakeX kernels, 2 threads) the
+    paper model's forward at batch 2 ran, per tap against per kernel row:
+    the one-channel 1 -> 16 conv at 256 px 9.2 -> 4.7 ms, 16 -> 16 at
+    256 px 17.6 -> 13.0, 32 -> 32 at 128 px 10.0 -> 8.6 and 64 -> 64 at
+    64 px 6.6 -> 5.8; only the 1x1 `out` conv, whose one-row stack is a
+    plain copy, lost (1.7 -> 2.0 ms). With an inner dimension of 1 (the
+    input gradient of the 1x1 one-output-channel conv) a GEMM is an outer
+    product, which numpy's matmul computes several times slower than a
+    broadcast multiply.
 
     Tiles start at each block's first column and each block gets its own
     GEMM calls, so with one block per image each image gets the calls of
-    its batch-1 forward (see the module docstring). The first tap writes
-    the tile and each later tap adds through one temporary, so taps are
-    summed in order and a single tile runs exactly the untiled operations.
-    Blocks that fit a tile sum in a contiguous buffer that is copied out
-    once: numpy adds short strided rows ~3x slower than contiguous ones
-    (6 rows of 2398 floats: 8 against 2.3 us), while a second buffer for
-    wider tiles cost more than it saved (16 x 8192 floats, 2 BLAS threads:
-    256 px convs ran twice as slow). With an inner dimension of 1 a tap is
-    an outer product, which numpy's matmul computes several times slower
-    than a broadcast multiply.
+    its batch-1 forward (see the module docstring). The first kernel row
+    writes the tile and each later row adds through one temporary, so a
+    single tile runs exactly the untiled operations. Blocks that fit a tile
+    go as many at a time as fill one and sum in a contiguous buffer that is
+    copied out once: numpy adds short strided rows ~3x slower than
+    contiguous ones (6 rows of 2398 floats: 8 against 2.3 us), while a
+    second buffer for wider tiles cost more than it saved (16 x 8192
+    floats, 2 BLAS threads: 256 px convs ran twice as slow).
     """
-    mul = np.multiply if mats[0].shape[1] == 1 else np.matmul
-    if block and mul is np.multiply:
-        # elementwise products round alike wherever a column falls
-        ncols, block = out.shape[1] - block + ncols, 0
+    kh, rows, k = rows_w.shape
+    kw = k // src.shape[0]
+    mul = np.multiply if k == 1 else np.matmul
+    halo = (kh - 1) * wp
     if block:
         out, src = _per_block(out, block), _per_block(src, block)
     else:
         out, src = out[None], src[None]
-    nb, rows = out.shape[:2]
-    # blocks of at most TILE columns go as many at a time as fill a tile,
-    # wider ones one at a time
-    staged = ncols <= TILE
-    group = TILE // ncols if staged else 1
-    size = min(group, nb) * rows * min(TILE, ncols)
+    nb = out.shape[0]
+    staged = ncols <= tile
+    group = tile // ncols if staged else 1
+    g, width = min(group, nb), min(tile, ncols)
+    win = np.empty((g, k, width + halo), dtype=src.dtype)
+    size = g * rows * width
     tmp = np.empty(2 * size if staged else size, dtype=out.dtype)
     for b0 in range(0, nb, group):
         b1 = min(b0 + group, nb)
-        for c0 in range(0, ncols, TILE):
-            c1 = min(c0 + TILE, ncols)
+        for c0 in range(0, ncols, tile):
+            c1 = min(c0 + tile, ncols)
+            x = _windows(src[b0:b1], range(kw), c0, c1 - c0 + halo, win[:b1 - b0])
             t = tmp[:(b1 - b0) * rows * (c1 - c0)].reshape(b1 - b0, rows, c1 - c0)
             y = tmp[size:size + t.size].reshape(t.shape) if staged else out[b0:b1, :, c0:c1]
-            mul(mats[0], src[b0:b1, :, c0 + shifts[0]:c1 + shifts[0]], out=y)
-            for a, s in zip(mats[1:], shifts[1:]):
-                y += mul(a, src[b0:b1, :, c0 + s:c1 + s], out=t)
+            mul(rows_w[0], x[..., :c1 - c0], out=y)
+            for ki in range(1, kh):
+                y += mul(rows_w[ki], x[..., ki * wp:ki * wp + c1 - c0], out=t)
             if staged:
                 out[b0:b1, :, c0:c1] = y
+
+
+def _kernel_rows(w: np.ndarray) -> np.ndarray:
+    """(cout, cin, kh, kw) kernel -> (kh, cout, kw*cin), kernel row ki as
+    one matrix whose column kj*cin + ch is tap (ki, kj) of channel ch."""
+    cout, cin, kh, kw = w.shape
+    return w.transpose(2, 0, 3, 1).reshape(kh, cout, kw * cin)
+
+
+def _flipped(w: np.ndarray) -> np.ndarray:
+    """The kernel whose correlation with the output gradient is the input
+    gradient: w with in and out channels swapped, rotated 180 degrees."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def _per_block(a: np.ndarray, block: int) -> np.ndarray:
@@ -245,13 +298,33 @@ def _per_block(a: np.ndarray, block: int) -> np.ndarray:
     return a.reshape(a.shape[:-1] + (-1, block)).swapaxes(-3, -2)
 
 
+def _gemm_cols(rows: int, inner: int) -> int:
+    """Columns per tile of a GEMM whose other two dimensions are `rows`
+    and `inner`, the input gradient's (rows x inner) @ (inner x cols) or
+    the weight gradient's (rows x cols) @ (cols x inner): the most that
+    keep rows*inner*cols within SMALL_GEMM, or TILE where that is fewer
+    than MIN_COLS."""
+    cols = SMALL_GEMM // (rows * inner)
+    return cols if cols >= MIN_COLS else TILE
+
+
 def _tap_weight_grads(g: np.ndarray, src: np.ndarray, shifts, ncols: int, dw: np.ndarray):
     """dw[t] += sum over columns c < ncols of g[:, c] src[:, c + shifts[t]]^T,
-    one tile of at most TILE columns at a time."""
-    for c0 in range(0, ncols, TILE):
-        c1 = min(c0 + TILE, ncols)
+    one tile of _gemm_cols columns at a time.
+
+    Each GEMM sums over its tile's columns, so tiles under OpenBLAS's
+    small-matrix bound (SMALL_GEMM) run at up to twice the rate of TILE
+    ones: on a 2-vCPU x86_64 VM (SkylakeX kernels, 2 threads) a 16x16
+    GEMM over 3906 columns ran at 57 GFLOP/s and over 3907 at 34, and the
+    paper model's weight gradients at batch 2 ran 16 -> 16 at 256 px
+    23.7 -> 14.8 ms and 32 -> 32 at 128 px 18.3 -> 11.2 ms against
+    8192-column tiles.
+    """
+    step = _gemm_cols(*dw.shape[1:])
+    for c0 in range(0, ncols, step):
+        c1 = min(c0 + step, ncols)
         for t, s in enumerate(shifts):
-            dw[t] += g[:, c0:c1] @ src[:, c0 + s:c1 + s].T
+            dw[t] += np.matmul(g[:, c0:c1], src[:, c0 + s:c1 + s].T)
 
 
 def _windows(src: np.ndarray, shifts, c0: int, ncols: int, buf: np.ndarray) -> np.ndarray:
@@ -279,36 +352,42 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
     Output spatial size is floor((H + 2*padding - kh) / stride) + 1.
 
-    Computed as one GEMM per kernel tap over a shifted view of the input
-    (the kn2row / shifted-GEMM family; Vasudevan, Anderson & Gregg 2017,
-    arXiv 1704.04428) instead of an im2col patch matrix. The input is copied
-    once into a zero-padded channel-major grid (Cin, N, Hp, Wp) and
-    flattened to xf of shape (Cin, M), M = N*Hp*Wp. Tap (ki, kj) is the
-    fixed column shift d = ki*Wp + kj, so
+    Computed from shifted views of the input (the kn2row / shifted-GEMM
+    family; Vasudevan, Anderson & Gregg 2017, arXiv 1704.04428) instead of
+    an im2col patch matrix. The input is copied once into a zero-padded
+    channel-major grid (Cin, N, Hp, Wp) and flattened to xf of shape
+    (Cin, M), M = N*Hp*Wp. Tap (ki, kj) is the fixed column shift
+    d = ki*Wp + kj. Stacking the kw shifts of one kernel row,
+    xs[kj*Cin + ch, c] = xf[ch, c + kj], makes kernel row ki one
+    (Cout, kw*Cin) matrix w_ki and
 
-        yf[:, c] = sum over taps of w[:, :, ki, kj] @ xf[:, c + d],  c < M - d_max
+        yf[:, c] = sum over ki of w_ki @ xs[:, c + ki*Wp],  c < M - d_max
 
-    with every operand a strided view BLAS takes as is. Column c of yf is
-    the output anchored at padded position c; the anchors of the strided
-    output grid are the valid ones, and every other column (a window
-    straddling a row or image edge) is junk that is cropped away. Stride > 1
-    computes at stride 1 and subsamples.
+    with d_max = (kh - 1)*Wp + kw - 1: kh GEMMs per tile (`_row_gemms`).
+    Column c of yf is the output anchored at padded position c; the
+    anchors of the strided output grid are the valid ones, and every other
+    column (a window straddling a row or image edge) is junk that is
+    cropped away. Stride > 1 computes at stride 1 and subsamples.
 
     The backward pass scatters the gradient into a zeroed grid that has
     d_max leading zero columns, gpad of shape (Cout, d_max + M), so junk
-    columns contribute nothing. dX is gathered, the same loop as the
-    forward: dxf[:, c] = sum over taps of w_tap.T @ gpad[:, d_max + c - d].
-    dW per tap sums gpad_tile @ xf_shift_tile.T over the column tiles; xf
-    is rebuilt from x for that, so the graph does not hold a padded copy
-    of every conv input.
+    columns contribute nothing. dX is gathered,
 
-    Every tap loop walks the columns in tiles of TILE = 8192 (blocking the
-    GEMM operands to cache: Goto & van de Geijn 2008; inside kn2row:
-    Anderson et al. 2017, arXiv 1709.03395). This model's GEMMs have 1 to
-    128 rows, and OpenBLAS runs the thin ones several times slower once a
-    tap spans tens of thousands of columns; 8192 measured fastest for a
-    whole training step. With M <= TILE (a 48 px image at batch 1) each
-    loop runs one tile, the same operations as an untiled loop.
+        dxf[:, c] = sum over taps of w[:, :, ki, kj].T @ gpad[:, c + d_max - d],
+
+    a correlation of gpad with the kernel rotated 180 degrees and its
+    channels swapped, so it runs the forward's loop. dW per tap sums
+    gpad_tile @ xf_shift_tile.T over the column tiles; xf is rebuilt from
+    x for that, so the graph does not hold a padded copy of every conv
+    input.
+
+    The loops walk the columns in tiles (blocking the GEMM operands:
+    Goto & van de Geijn 2008; inside kn2row: Anderson et al. 2017, arXiv
+    1709.03395). The forward takes TILE columns per tile of each image;
+    with Hp*Wp <= TILE (a 48 px image) it runs one tile per image, the
+    same operations as an untiled loop. dX and dW take `_gemm_cols`
+    columns, as many as keep each GEMM under OpenBLAS's small-matrix bound
+    (see SMALL_GEMM).
 
     `relu=True` is relu(conv2d(...)) as one node: the epilogue clamps the
     biased output in place, and the backward first masks the incoming
@@ -339,14 +418,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     m = n * hp * wp
     dmax = (kh - 1) * wp + kw - 1
     span = m - dmax
-    taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
-    shifts = [d for _, _, d in taps]
+    shifts = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
     valid = (slice(None), slice(None), slice(0, stride * ho, stride), slice(0, stride * wo, stride))
 
     xf = _channel_major(x.data, p)
     yf = np.empty((cout, m), dtype=np.result_type(x.data, w.data))
-    _tap_gemms([w.data[:, :, ki, kj] for ki, kj, _ in taps], xf, shifts, yf,
-               hp * wp - dmax, hp * wp)
+    _row_gemms(_kernel_rows(w.data), xf, wp, yf, hp * wp - dmax, TILE, hp * wp)
     out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
     if relu:
         np.maximum(out, 0, out=out)
@@ -364,13 +441,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         gf.reshape(cout, n, hp, wp)[valid] = g.transpose(1, 0, 2, 3)
         if w.requires_grad:
             xf = _channel_major(x.data, p)
-            dw = np.zeros((len(taps), cout, cin), dtype=np.result_type(g, xf))
+            dw = np.zeros((len(shifts), cout, cin), dtype=np.result_type(g, xf))
             _tap_weight_grads(gf, xf, shifts, span, dw)
             _accum(w, dw.transpose(1, 2, 0).reshape(w.shape))
         if x.requires_grad:
             dxf = np.empty((cin, m), dtype=np.result_type(g, w.data))
-            _tap_gemms([w.data[:, :, ki, kj].T for ki, kj, _ in taps], gpad,
-                       [dmax - d for d in shifts], dxf, m)
+            _row_gemms(_kernel_rows(_flipped(w.data)), gpad, wp, dxf, m, _gemm_cols(cin, kw * cout))
             _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
 
     return _result(out, (x, w, b), bwd)
@@ -396,7 +472,7 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
 
     The conv over the concatenation is the sum of a conv over each part,
     split at ca = x_low's channel count: w[:, :ca] reads the upsampled map
-    and w[:, ca:] the skip. The skip part is conv2d's tap loop at full
+    and w[:, ca:] the skip. The skip part is conv2d's kernel-row loop at full
     resolution. The upsampled part is the polyphase identity of the module
     docstring: output (2p + a, 2q + e) reads only the 2x2 low-res window at
     rows p - 1 + a + {0, 1} and columns q - 1 + e + {0, 1}, through the
@@ -441,17 +517,15 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
     dtype = np.result_type(x_low.data, skip.data, w.data)
     hh, ww = 2 * h, 2 * wd
 
-    # the skip part: conv2d's tap loop on the padded full-resolution grid
+    # the skip part: conv2d's kernel-row loop on the padded full-resolution grid
     hp, wp = hh + 2, ww + 2
     m = n * hp * wp
     shifts = [ki * wp + kj for ki in range(3) for kj in range(3)]
     dmax = shifts[-1]
     span = m - dmax
     sf = _channel_major(skip.data, 1)
-    # one contiguous (cout, cb) matrix per tap, which BLAS takes as is
-    wskip = np.ascontiguousarray(w.data[:, ca:].transpose(2, 3, 0, 1)).reshape(9, cout, cb)
     yf = np.empty((cout, m), dtype=dtype)
-    _tap_gemms(wskip, sf, shifts, yf, hp * wp - dmax, hp * wp)
+    _row_gemms(_kernel_rows(w.data[:, ca:]), sf, wp, yf, hp * wp - dmax, TILE, hp * wp)
 
     # the upsampled part: four 2x2 phase convs on the padded low-res grid
     lhp, lwp = h + 2, wd + 2
@@ -467,7 +541,7 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
     k4[:, :, :-1] = k.transpose(0, 2, 1, 3).reshape(4, cout, 4 * ca)
     k4[:, :, -1] = b.data
     zf = np.empty((4, cout, ml), dtype=dtype)
-    # tiled per image, as _tap_gemms tiles the skip part
+    # tiled per image, as _row_gemms tiles the skip part
     lspan1 = lhp * lwp - ldmax
     lf1, zf1 = _per_block(lf, lhp * lwp), _per_block(zf, lhp * lwp)
     buf = np.empty((n, 4 * ca + 1, min(wtile, lspan1) + wshifts[-1]), dtype=dtype)
@@ -522,7 +596,8 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
             _accum(w, dw)
         if skip.requires_grad:
             dsf = np.empty((cb, m), dtype=gtype)
-            _tap_gemms(wskip.transpose(0, 2, 1), gpad, [dmax - d for d in shifts], dsf, m)
+            _row_gemms(_kernel_rows(_flipped(w.data[:, ca:])), gpad, wp, dsf, m,
+                       _gemm_cols(cb, 3 * cout))
             _accum(skip, dsf.reshape(cb, n, hp, wp)[:, :, 1:1 + hh, 1:1 + ww].transpose(1, 0, 2, 3))
         if x_low.requires_grad:
             # dX_low[:, c] = sum over phase (a, e), window tap (r, s) of
@@ -552,6 +627,8 @@ def maxpool2d(x: Tensor) -> Tuple[Tensor, np.ndarray]:
     NaN; NaN equals nothing, so its index is the window's last position
     and its gradient goes there.
     """
+    if x.data.ndim != 4:
+        raise ShapeError(f"maxpool2d: expected 4-d input, got {x.data.ndim}-d")
     n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2d: input is {h}x{w}, smaller than the 2x2 window")
@@ -581,6 +658,8 @@ def maxpool2d(x: Tensor) -> Tuple[Tensor, np.ndarray]:
 
 def upsample_nearest(x: Tensor) -> Tensor:
     """Replicate each pixel into a 2x2 block."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"upsample_nearest: expected 4-d input, got {x.data.ndim}-d")
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def bwd(g: np.ndarray):

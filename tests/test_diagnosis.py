@@ -311,6 +311,11 @@ class TestCalibration:
         with pytest.raises(ValueError, match="margin must be finite"):
             dx.calibrate_from_positives([1.0, 2.0], margin=margin)
 
+    def test_overflowing_threshold_rejected(self):
+        # finite score and margin whose product is not
+        with pytest.raises(ValueError, match="threshold overflows"):
+            dx.calibrate_from_positives([1.0, 1e308], margin=2.0)
+
 
 class TestPixelThresholdCalibration:
     def _maps_with_hot_square(self, gen, n, size=16, hot=900.0, cold=50.0):

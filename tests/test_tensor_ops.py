@@ -15,10 +15,16 @@ from oracles import (conv2d_backward_loops, conv2d_loops, maxpool2d_backward_loo
                      upsample_nearest_loops)
 
 
-# conv2d column tiles to run the conv tests under: one column per tile, a
-# width that leaves a partial last tile and puts tap shifts across tile
-# edges, and the default
-TILES = (1, 7, T.TILE)
+# conv2d column tiles to run the conv tests under, as (TILE, SMALL_GEMM,
+# MIN_COLS): one column per tile; 7 columns per forward tile and
+# 7 // (rows * inner) per backward GEMM (7 where that is 0), which leaves
+# partial last tiles and puts tap shifts across tile edges; and the defaults
+TILES = ((1, 1, 1), (7, 7, 1), (T.TILE, T.SMALL_GEMM, T.MIN_COLS))
+
+
+def use_tiles(monkeypatch, tiles):
+    for name, value in zip(("TILE", "SMALL_GEMM", "MIN_COLS"), tiles):
+        monkeypatch.setattr(T, name, value)
 
 
 def tensor(a, **kw):
@@ -74,8 +80,8 @@ class TestConv2d:
             wt = gen.uniform(-1, 1, (cout, cin, kh, kw))
             b = gen.uniform(-1, 1, cout)
             ref = conv2d_loops(x, wt, b, stride, padding)
-            for tile in TILES:
-                monkeypatch.setattr(T, "TILE", tile)
+            for tiles in TILES:
+                use_tiles(monkeypatch, tiles)
                 out = T.conv2d(T.Tensor(x), T.Tensor(wt), T.Tensor(b), stride, padding)
                 npt.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -130,8 +136,8 @@ class TestConv2dBackward:
         ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
         g = gen.uniform(-1, 1, (3, 3, ho, wo))
         dx, dw, db = conv2d_backward_loops(xd, wd, g, stride, padding)
-        for tile in TILES:
-            monkeypatch.setattr(T, "TILE", tile)
+        for tiles in TILES:
+            use_tiles(monkeypatch, tiles)
             x, wt, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
             drive_backward(T.conv2d(x, wt, b, stride, padding), g)
             npt.assert_allclose(x.grad, dx, atol=1e-12)
@@ -153,8 +159,8 @@ class TestConv2dBackward:
             drive_backward(out, np.ones(out.shape))
             return out.data, xt.grad
 
-        for tile in TILES:
-            monkeypatch.setattr(T, "TILE", tile)
+        for tiles in TILES:
+            use_tiles(monkeypatch, tiles)
             out, dx = run(xs)
             for i in range(len(xs)):
                 solo_out, solo_dx = run(xs[i:i + 1])
@@ -162,15 +168,16 @@ class TestConv2dBackward:
                 npt.assert_allclose(dx[i:i + 1], solo_dx, rtol=1e-12, atol=1e-12)
 
     def test_tiled_matches_one_tile_at_model_size(self, monkeypatch):
-        # a 48 px batch of 4 spans more columns than one tile; tiling only
-        # regroups float32 sums, so every result stays within rounding of
-        # the same conv run as a single tile
+        # a 48 px batch of 4 spans more columns than one tile of the forward
+        # and of each backward GEMM; tiling only regroups float32 sums, so
+        # every result stays within rounding of the same conv run as a
+        # single tile
         gen = np.random.default_rng(48)
         xd = gen.uniform(0, 1, (4, 18, 48, 48)).astype(np.float32)
         wd = (gen.standard_normal((6, 18, 3, 3)) * 0.1).astype(np.float32)
         bd = gen.uniform(-1, 1, 6).astype(np.float32)
         g = gen.uniform(-1, 1, (4, 6, 48, 48)).astype(np.float32)
-        assert 4 * 50 * 50 > T.TILE
+        assert 4 * 50 * 50 > max(T.TILE, T._gemm_cols(6, 18), T._gemm_cols(18, 3 * 6))
 
         def run():
             x, wt, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
@@ -179,7 +186,7 @@ class TestConv2dBackward:
             return out.data, x.grad, wt.grad, b.grad
 
         tiled = run()
-        monkeypatch.setattr(T, "TILE", 10 ** 6)
+        use_tiles(monkeypatch, (10 ** 6, 10 ** 12, 1))
         for got, want in zip(tiled, run()):
             npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
@@ -242,6 +249,71 @@ class TestBatchInvariance:
         assert per_n[1] and per_n[5] == {k: 5 * v for k, v in per_n[1].items()}
 
 
+class TestGemmShapes:
+    """The conv GEMMs' call shapes, seen through a spy on np.matmul, so they
+    hold on any BLAS."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return calls
+
+    # each 24 px image spans 622 columns: at TILE 300 three tiles (300,
+    # 300, 22); at 1300 two images share a tile, so the batch of 5 ends in
+    # a group of one
+    @pytest.mark.parametrize("tile", [300, 1300])
+    def test_forward_runs_one_gemm_per_kernel_row_per_image_and_tile(self, tile, monkeypatch):
+        gen = np.random.default_rng(9)
+        x = tensor(gen.uniform(0, 1, (5, 4, 24, 24)))
+        w = tensor(gen.standard_normal((6, 4, 3, 3)))
+        monkeypatch.setattr(T, "TILE", tile)
+        calls = self.spy(monkeypatch)
+        with T.no_grad():
+            T.conv2d(x, w, tensor(np.zeros(6)), padding=1)
+        ncols = 26 * 26 - 2 * 26 - 2
+        widths = Counter(min(tile, ncols - c0) for c0 in range(0, ncols, tile))
+        per_width = Counter()
+        for a, b in calls:
+            assert a == (6, 3 * 4) and b[-2] == 3 * 4
+            per_width[b[-1]] += b[0] if len(b) == 3 else 1
+        assert per_width == {wd: 3 * 5 * k for wd, k in widths.items()}
+
+    def test_backward_gemms_stay_under_the_bound_or_at_the_fallback(self, monkeypatch):
+        # with these constants the 4 -> 6 conv's GEMMs fit the bound in
+        # several tiles and the 12 -> 16 conv's fall back to TILE
+        monkeypatch.setattr(T, "TILE", 300)
+        monkeypatch.setattr(T, "SMALL_GEMM", 10 ** 4)
+        monkeypatch.setattr(T, "MIN_COLS", 64)
+        gen = np.random.default_rng(10)
+        calls = self.spy(monkeypatch)
+        seen = Counter()
+        for cin, cout in ((4, 6), (12, 16)):
+            x = tensor(gen.uniform(0, 1, (3, cin, 20, 20)))
+            w = tensor(gen.standard_normal((cout, cin, 3, 3)))
+            g = gen.uniform(-1, 1, (3, cout, 20, 20))
+            for part in ("dW", "dX"):
+                x.requires_grad, w.requires_grad = part == "dX", part == "dW"
+                out = T.conv2d(x, w, tensor(np.zeros(cout)), padding=1)
+                calls.clear()
+                push_gradient(out, g)
+                assert len(calls) > (9 if part == "dW" else 3)
+                for a, b in calls:
+                    cols = a[-1] if part == "dW" else b[-1]
+                    rows_inner = a[-2] * a[-1] * b[-1] // cols
+                    if rows_inner * cols <= T.SMALL_GEMM:
+                        seen["under the bound"] += 1
+                    else:
+                        assert T.SMALL_GEMM // rows_inner < T.MIN_COLS and cols <= T.TILE
+                        seen["at the fallback"] += 1
+        assert seen["under the bound"] and seen["at the fallback"]
+
+
 def unfused_up_concat_conv2d(x_low, skip, w, b):
     return T.conv2d(T.concat_channels(T.upsample_nearest(x_low), skip), w, b, padding=1)
 
@@ -258,16 +330,16 @@ class TestUpConcatConv2d:
         drive_backward(out, g)
         return [out.data] + [t.grad for t in ts]
 
-    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("tiles", TILES, ids=[str(t[0]) for t in TILES])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_matches_unfused_composition(self, shape, tile, monkeypatch):
+    def test_matches_unfused_composition(self, shape, tiles, monkeypatch):
         # forward and all four gradients, float64, across tile widths
         n, ca, cb, cout, h, w = shape
         gen = np.random.default_rng(sum(shape))
         arrays = [gen.uniform(-1, 1, (n, ca, h, w)), gen.uniform(-1, 1, (n, cb, 2 * h, 2 * w)),
                   gen.uniform(-1, 1, (cout, ca + cb, 3, 3)), gen.uniform(-1, 1, cout)]
         g = gen.uniform(-1, 1, (n, cout, 2 * h, 2 * w))
-        monkeypatch.setattr(T, "TILE", tile)
+        use_tiles(monkeypatch, tiles)
         got = self._run(T.up_concat_conv2d, arrays, g)
         want = self._run(unfused_up_concat_conv2d, arrays, g)
         for name, a, b in zip(("out", "dx_low", "dskip", "dw", "db"), got, want):
@@ -300,9 +372,9 @@ class TestUpConcatConv2d:
                   (gen.standard_normal((6, 18, 3, 3)) * 0.1).astype(np.float32),
                   gen.uniform(-1, 1, 6).astype(np.float32)]
         g = gen.uniform(-1, 1, (4, 6, 48, 48)).astype(np.float32)
-        assert 4 * 26 * 26 > T.TILE // 4 and 4 * 50 * 50 > T.TILE
+        assert 4 * 26 * 26 > T.TILE // 4 and 4 * 50 * 50 > max(T.TILE, T._gemm_cols(6, 3 * 6))
         tiled = self._run(T.up_concat_conv2d, arrays, g)
-        monkeypatch.setattr(T, "TILE", 10 ** 6)
+        use_tiles(monkeypatch, (10 ** 6, 10 ** 12, 1))
         for got, want in zip(tiled, self._run(T.up_concat_conv2d, arrays, g)):
             npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
@@ -455,6 +527,11 @@ class TestMaxPool2d:
         with pytest.raises(T.ShapeError, match=f"input is {h}x{w}, smaller than the 2x2 window"):
             T.maxpool2d(tensor(np.zeros((1, 1, h, w))))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (1, 1, 1, 4, 4)])
+    def test_non_4d_input_names_rank(self, shape):
+        with pytest.raises(T.ShapeError, match=f"expected 4-d input, got {len(shape)}-d"):
+            T.maxpool2d(tensor(np.zeros(shape)))
+
 
 class TestUpsampleNearest:
     def test_replication(self):
@@ -481,6 +558,11 @@ class TestUpsampleNearest:
         # every output's gradient is 2 * 1 / 16, and each input feeds 4
         T.backward(T.mse(out, T.Tensor(out.data - 1.0)))
         npt.assert_allclose(x.grad[0, 0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (1, 1, 1, 4, 4)])
+    def test_non_4d_input_names_rank(self, shape):
+        with pytest.raises(T.ShapeError, match=f"expected 4-d input, got {len(shape)}-d"):
+            T.upsample_nearest(tensor(np.zeros(shape)))
 
 
 class TestConcatChannels:
