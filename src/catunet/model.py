@@ -11,9 +11,10 @@ the last decoder features to the output, which has the input's shape.
 
 The decoder's upsample, concatenation and 3x3 conv run as one primitive,
 `T.up_concat_conv2d`, which computes the upsampled part at low resolution
-(one 2x2 conv per output phase) and never builds the upsampled or the
-concatenated map. `dec{k}_w` is still the weight of the conv over the
-concatenation: upsampled channels first, then the skip's.
+(the four output phases' 2x2 kernels stacked as one 2x2 conv) and never
+builds the upsampled or the concatenated map. `dec{k}_w` is still the
+weight of the conv over the concatenation: upsampled channels first,
+then the skip's.
 
 Every conv but the linear `out` runs with `relu=True`: ReLU is the conv's
 epilogue, not a node of its own, so a training graph holds one map per
@@ -55,9 +56,12 @@ class CatUNetConfig:
         self.validate()
 
     def validate(self):
+        # bool is an int subclass; refuse True as a size or a rate
         sizes = ("input_channels", "input_size", "depth", "base_channels")
         problems = [f"{k} must be an integer, got {getattr(self, k)!r}" for k in sizes
-                    if not isinstance(getattr(self, k), int)]
+                    if type(getattr(self, k)) is not int]
+        if isinstance(self.dropout_rate, bool) or not isinstance(self.dropout_rate, (int, float)):
+            problems.append(f"dropout_rate must be a number, got {self.dropout_rate!r}")
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
         if self.depth < 1:
@@ -98,8 +102,9 @@ class CatUNetConfig:
                  "output_channels": fields.get("input_channels", cls.input_channels)}
         for key, value in fixed.items():
             found = fields.pop(key, value)
-            if found != value:
-                raise ValueError(f"{key} ({found}) must be {value}")
+            # compared with its type too: true == 1 and 3.0 == 3
+            if (type(found), found) != (type(value), value):
+                raise ValueError(f"{key} ({found!r}) must be {value!r}")
         return cls(**fields)
 
 

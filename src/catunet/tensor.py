@@ -26,14 +26,17 @@ epilogue.
 
 Convolution runs as one BLAS GEMM per kernel row over shifted views of a
 zero-padded, channel-major copy of its input (`_row_gemms`); the repack
-stays inside `conv2d`, so every op takes and returns NCHW. The input
+stays inside the conv ops, so every op takes and returns NCHW. The input
 gradient runs the same loop over a zero-led gradient grid with the
 flipped kernel, and the weight gradient one GEMM per tap and tile
-(`_tap_weight_grads`). The loops walk the flattened columns in tiles,
-because OpenBLAS runs this model's thin GEMMs (a few rows, thousands of
-columns) at half the rate or less past a size bound: the forward in tiles
-of `TILE` columns, the backward's GEMMs in tiles as wide as keep them
-under OpenBLAS's small-matrix bound (`_gemm_cols`).
+(`_tap_weight_grads`). One forward helper (`_conv_grid`) and one backward
+helper (`_conv_grads`) run these loops for every conv the model runs:
+`conv2d` and both parts of `up_concat_conv2d`. The loops walk the
+flattened columns in tiles, because OpenBLAS runs this model's thin
+GEMMs (a few rows, thousands of columns) at half the rate or less past a
+size bound: the forward in tiles of `TILE` columns, the backward's GEMMs
+in tiles as wide as keep them under OpenBLAS's small-matrix bound
+(`_gemm_cols`).
 
 The forward tiles each image's columns from that image's first column
 and gives each image its own GEMM calls (numpy's stacked matmul calls
@@ -51,11 +54,14 @@ The polyphase identity: a 3x3 conv over a nearest-2x upsample equals four
 2x2 convs at the low resolution, one per output phase (row and column
 parity), each with the sums of the 3x3 taps that read the same low-res
 pixel (the resize-convolution / sub-pixel equivalence: Odena, Dumoulin &
-Olah, Distill 2016; Shi et al. 2016, arXiv 1609.07009).
-`up_concat_conv2d` runs the decoder's upsample, concatenation and conv
-that way, so it never builds the upsampled or the concatenated map.
-`upsample_nearest` and `concat_channels` stay as primitives: composed
-with `conv2d` they are its reference.
+Olah, Distill 2016; Shi et al. 2016, arXiv 1609.07009). Stacked as
+4*cout output channels, the four phase kernels are a single 2x2 conv with
+padding 1 over the low-res map, read for phase (a, e) at anchor offset
+(a, e) (sub-pixel convolution as one conv: Aitken et al. 2017, arXiv
+1707.02937). `up_concat_conv2d` runs the decoder's upsample,
+concatenation and conv that way, so it never builds the upsampled or the
+concatenated map. `upsample_nearest` and `concat_channels` stay as
+primitives: composed with `conv2d` they are its reference.
 """
 
 from contextlib import contextmanager
@@ -66,8 +72,8 @@ import numpy as np
 
 
 # Columns per tile of the forward's kernel-row GEMMs, which start at each
-# image's first column; also the width that sets the staging groups, the
-# fused decoder op's phase tiles (a quarter of it) and `evaluate`'s batch.
+# image's first column; also the width that sets the staging groups and
+# `evaluate`'s batch.
 # On a 2-vCPU x86_64 VM (OpenBLAS 0.3.31, SkylakeX kernels, 2 threads) a
 # 48 px batch-8 training step took a median 12.9 ms with 8192-column tiles,
 # 12.6 with 16384 and 15.9 with 4096 (8 interleaved rounds); a 256 px
@@ -346,6 +352,54 @@ def _channel_major(a: np.ndarray, p: int) -> np.ndarray:
     return xf.reshape(c, -1)
 
 
+def _conv_grid(x: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """The stride-1 correlation of kernel w with x zero-padded by p, as the
+    (Cout, N, Hp, Wp) grid of outputs anchored at each padded position
+    (see conv2d): one `_row_gemms` sweep with TILE-column tiles per image.
+    An anchor whose window straddles a row or image edge holds junk."""
+    n, _, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    hp, wp = h + 2 * p, wd + 2 * p
+    yf = np.empty((w.shape[0], n * hp * wp), dtype=np.result_type(x, w))
+    _row_gemms(_kernel_rows(w), _channel_major(x, p), wp, yf, hp * wp - (kh - 1) * wp - kw + 1,
+               TILE, hp * wp)
+    return yf.reshape(-1, n, hp, wp)
+
+
+def _conv_grads(scatter, x: Tensor, w: np.ndarray, p: int, need_w: bool) -> Optional[np.ndarray]:
+    """Backward of `_conv_grid(x.data, w, p)`: accumulates dX into x when
+    x requires it, and returns dW when `need_w` (else None). `scatter`
+    lists (index, values) pairs that place the output gradient on the
+    (Cout, N, Hp, Wp) anchor grid; every other anchor, junk included, gets
+    zero. That grid is led by d_max zero columns (see conv2d). dW runs
+    `_tap_weight_grads` over it and a copy of x's padded grid rebuilt here,
+    so the graph does not hold one; dX runs `_row_gemms` with the flipped
+    kernel over the whole batch. Both take `_gemm_cols` columns per tile."""
+    if not (need_w or x.requires_grad):
+        return None
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    hp, wp = h + 2 * p, wd + 2 * p
+    m = n * hp * wp
+    dmax = (kh - 1) * wp + kw - 1
+    gpad = np.zeros((cout, dmax + m), dtype=scatter[0][1].dtype)
+    gf = gpad[:, dmax:]
+    for index, values in scatter:
+        # splits gf's unit-stride rows, so the reshape is a view into gpad
+        gf.reshape(cout, n, hp, wp)[index] = values
+    dw = None
+    if need_w:
+        taps = np.zeros((kh * kw, cout, cin), dtype=np.result_type(gpad, x.data))
+        shifts = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
+        _tap_weight_grads(gf, _channel_major(x.data, p), shifts, m - dmax, taps)
+        dw = taps.transpose(1, 2, 0).reshape(w.shape)
+    if x.requires_grad:
+        dxf = np.empty((cin, m), dtype=np.result_type(gpad, w))
+        _row_gemms(_kernel_rows(_flipped(w)), gpad, wp, dxf, m, _gemm_cols(cin, kw * cout))
+        _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
+    return dw
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
            relu: bool = False) -> Tensor:
     """2D cross-correlation over (N, Cin, H, W) with zero padding.
@@ -363,15 +417,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
         yf[:, c] = sum over ki of w_ki @ xs[:, c + ki*Wp],  c < M - d_max
 
-    with d_max = (kh - 1)*Wp + kw - 1: kh GEMMs per tile (`_row_gemms`).
-    Column c of yf is the output anchored at padded position c; the
-    anchors of the strided output grid are the valid ones, and every other
-    column (a window straddling a row or image edge) is junk that is
-    cropped away. Stride > 1 computes at stride 1 and subsamples.
+    with d_max = (kh - 1)*Wp + kw - 1: kh GEMMs per tile (`_row_gemms`,
+    run by `_conv_grid`). Column c of yf is the output anchored at padded
+    position c; the anchors of the strided output grid are the valid ones,
+    and every other column (a window straddling a row or image edge) is
+    junk that is cropped away. Stride > 1 computes at stride 1 and
+    subsamples.
 
-    The backward pass scatters the gradient into a zeroed grid that has
-    d_max leading zero columns, gpad of shape (Cout, d_max + M), so junk
-    columns contribute nothing. dX is gathered,
+    The backward pass (`_conv_grads`) scatters the gradient into a zeroed
+    grid that has d_max leading zero columns, gpad of shape
+    (Cout, d_max + M), so junk columns contribute nothing. dX is gathered,
 
         dxf[:, c] = sum over taps of w[:, :, ki, kj].T @ gpad[:, c + d_max - d],
 
@@ -413,18 +468,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         )
 
     p = padding
-    hp, wp = h + 2 * p, wd + 2 * p
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    m = n * hp * wp
-    dmax = (kh - 1) * wp + kw - 1
-    span = m - dmax
-    shifts = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
+    ho, wo = (h + 2 * p - kh) // stride + 1, (wd + 2 * p - kw) // stride + 1
     valid = (slice(None), slice(None), slice(0, stride * ho, stride), slice(0, stride * wo, stride))
-
-    xf = _channel_major(x.data, p)
-    yf = np.empty((cout, m), dtype=np.result_type(x.data, w.data))
-    _row_gemms(_kernel_rows(w.data), xf, wp, yf, hp * wp - dmax, TILE, hp * wp)
-    out = yf.reshape(cout, n, hp, wp)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
+    out = _conv_grid(x.data, w.data, p)[valid].transpose(1, 0, 2, 3) + b.data[None, :, None, None]
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -433,21 +479,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
             g = g * (out > 0)
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        if not (w.requires_grad or x.requires_grad):
-            return
-        gpad = np.zeros((cout, dmax + m), dtype=g.dtype)
-        gf = gpad[:, dmax:]
-        # splits gf's unit-stride rows, so the reshape is a view into gpad
-        gf.reshape(cout, n, hp, wp)[valid] = g.transpose(1, 0, 2, 3)
+        dw = _conv_grads([(valid, g.transpose(1, 0, 2, 3))], x, w.data, p, w.requires_grad)
         if w.requires_grad:
-            xf = _channel_major(x.data, p)
-            dw = np.zeros((len(shifts), cout, cin), dtype=np.result_type(g, xf))
-            _tap_weight_grads(gf, xf, shifts, span, dw)
-            _accum(w, dw.transpose(1, 2, 0).reshape(w.shape))
-        if x.requires_grad:
-            dxf = np.empty((cin, m), dtype=np.result_type(g, w.data))
-            _row_gemms(_kernel_rows(_flipped(w.data)), gpad, wp, dxf, m, _gemm_cols(cin, kw * cout))
-            _accum(x, dxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
+            _accum(w, dw)
 
     return _result(out, (x, w, b), bwd)
 
@@ -472,30 +506,24 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
 
     The conv over the concatenation is the sum of a conv over each part,
     split at ca = x_low's channel count: w[:, :ca] reads the upsampled map
-    and w[:, ca:] the skip. The skip part is conv2d's kernel-row loop at full
+    and w[:, ca:] the skip. The skip part is conv2d's 3x3 conv at full
     resolution. The upsampled part is the polyphase identity of the module
     docstring: output (2p + a, 2q + e) reads only the 2x2 low-res window at
     rows p - 1 + a + {0, 1} and columns q - 1 + e + {0, 1}, through the
-    phase kernel that one GEMM with PHASE_COLLAPSE sums from the 3x3 taps;
-    the transpose of that GEMM maps the phase kernels' gradient back. That
-    part costs 16 of the 36 multiply-adds per low-res pixel of a conv over
-    the upsampled map.
+    phase kernel that one GEMM with PHASE_COLLAPSE sums from the 3x3 taps.
+    Stacked as 4*cout output channels, phase (a, e) in channels
+    (2a + e)*cout on, the four phase kernels are one 2x2 conv with padding
+    1 over x_low, whose anchor (p + a, q + e) is phase (a, e)'s output at
+    (p, q). That part costs 16 of the 36 multiply-adds per low-res pixel of
+    a conv over the upsampled map.
 
-    On x_low's zero-padded channel-major grid (row pitch lwp), window tap
-    (r, s) and phase (a, e) are the column shifts r*lwp + s and a*lwp + e.
-    The four shifted copies of a tile of that grid, stacked as 4*ca rows,
-    make each phase one GEMM with a (cout, 4*ca) kernel. A tile has a
-    quarter of TILE columns, so the stack is no larger than a tap operand.
-    The bias rides along as one more row, of ones. The phase outputs are
-    interleaved with the skip part's into the NCHW output.
-
-    Backward runs the skip part as conv2d's backward. For the upsampled
-    part, dW comes from the same window tiles, one GEMM per phase, and
-    dX_low from one GEMM per tile over the 16 shifted windows of the
-    phases' output gradients, each phase scattered onto its own zero-led
-    low-res grid. Like conv2d, dW rebuilds both padded grids instead of
-    keeping them from the forward, and `relu=True` clamps the output in
-    place and masks the incoming gradient by it (conv2d's epilogue).
+    Both parts run through conv2d's forward and backward helpers
+    (`_conv_grid`, `_conv_grads`), so they tile, batch and bound their
+    GEMMs as conv2d does; the transpose of the collapse maps the stacked
+    kernel's gradient back to w[:, :ca]. The phase outputs are interleaved
+    with the skip part's into the NCHW output, and the bias is added
+    there. Like conv2d, `relu=True` clamps the output in place and masks
+    the incoming gradient by it.
     """
     for name, t in (("x_low", x_low), ("skip", skip), ("w", w)):
         if t.data.ndim != 4:
@@ -515,51 +543,23 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
             f"up_concat_conv2d: bias shape {tuple(b.shape)} does not match {cout} output channels")
 
     dtype = np.result_type(x_low.data, skip.data, w.data)
-    hh, ww = 2 * h, 2 * wd
-
-    # the skip part: conv2d's kernel-row loop on the padded full-resolution grid
-    hp, wp = hh + 2, ww + 2
-    m = n * hp * wp
-    shifts = [ki * wp + kj for ki in range(3) for kj in range(3)]
-    dmax = shifts[-1]
-    span = m - dmax
-    sf = _channel_major(skip.data, 1)
-    yf = np.empty((cout, m), dtype=dtype)
-    _row_gemms(_kernel_rows(w.data[:, ca:]), sf, wp, yf, hp * wp - dmax, TILE, hp * wp)
-
-    # the upsampled part: four 2x2 phase convs on the padded low-res grid
-    lhp, lwp = h + 2, wd + 2
-    ml = n * lhp * lwp
-    wshifts = (0, 1, lwp, lwp + 1)      # index 2r + s, or 2a + e
-    ldmax = 2 * wshifts[-1]
-    lspan = ml - ldmax
-    wtile = -(-TILE // 4)
-    lf = _channel_major(x_low.data, 1)
     collapse = PHASE_COLLAPSE.astype(dtype)
-    k = (collapse @ w.data[:, :ca].transpose(2, 3, 0, 1).reshape(9, cout * ca)).reshape(4, 4, cout, ca)
-    k4 = np.empty((4, cout, 4 * ca + 1), dtype=dtype)
-    k4[:, :, :-1] = k.transpose(0, 2, 1, 3).reshape(4, cout, 4 * ca)
-    k4[:, :, -1] = b.data
-    zf = np.empty((4, cout, ml), dtype=dtype)
-    # tiled per image, as _row_gemms tiles the skip part
-    lspan1 = lhp * lwp - ldmax
-    lf1, zf1 = _per_block(lf, lhp * lwp), _per_block(zf, lhp * lwp)
-    buf = np.empty((n, 4 * ca + 1, min(wtile, lspan1) + wshifts[-1]), dtype=dtype)
-    buf[:, -1] = 1
-    for c0 in range(0, lspan1, wtile):
-        c1 = min(c0 + wtile, lspan1)
-        x4 = _windows(lf1, wshifts, c0, c1 - c0 + wshifts[-1], buf)
-        for ph, d in enumerate(wshifts):
-            np.matmul(k4[ph], x4[..., d:d + c1 - c0], out=zf1[ph, ..., c0:c1])
+    # (phase, r, s, co, ch) -> (phase, co, ch, r, s); the same axis swap maps back
+    k = collapse @ w.data[:, :ca].transpose(2, 3, 0, 1).reshape(9, cout * ca)
+    k = k.reshape(4, 2, 2, cout, ca).transpose(0, 3, 4, 1, 2).reshape(4 * cout, ca, 2, 2)
+    # phase (a, e): its block of the stacked conv's anchor grid, and its
+    # pixels (2p + a, 2q + e) of a full-resolution map
+    phases = [((slice(ph * cout, (ph + 1) * cout), slice(None), slice(a, a + h), slice(e, e + wd)),
+               (slice(None), slice(None), slice(a, None, 2), slice(e, None, 2)))
+              for ph, (a, e) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)))]
 
-    # out[:, :, 2p + a, 2q + e] = skip part + phase (a, e) at (p, q)
-    out = np.empty((n, cout, hh, ww), dtype=dtype)
-    out6 = out.reshape(n, cout, h, 2, wd, 2)
-    y6 = yf.reshape(cout, n, hp, wp)[:, :, :hh, :ww].reshape(cout, n, h, 2, wd, 2).swapaxes(0, 1)
-    z = zf.reshape(2, 2, cout, n, lhp, lwp)[..., :h, :wd].swapaxes(2, 3)
-    for a in range(2):
-        for e in range(2):
-            np.add(y6[:, :, :, a, :, e], z[a, e], out=out6[:, :, :, a, :, e])
+    # out at phase (a, e)'s pixels = skip part + phase (a, e)'s anchors + bias
+    y = _conv_grid(skip.data, w.data[:, ca:], 1)[:, :, :hs, :ws]
+    z = _conv_grid(x_low.data, k, 1)
+    out = np.empty((n, cout, hs, ws), dtype=dtype)
+    for at, px in phases:
+        np.add(y[px].swapaxes(0, 1), z[at].swapaxes(0, 1), out=out[px])
+    out += b.data[:, None, None]
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -568,49 +568,13 @@ def up_concat_conv2d(x_low: Tensor, skip: Tensor, w: Tensor, b: Tensor,
             g = g * (out > 0)
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        if not (w.requires_grad or x_low.requires_grad or skip.requires_grad):
-            return
-        gpad = np.zeros((cout, dmax + m), dtype=g.dtype)
-        gpad[:, dmax:].reshape(cout, n, hp, wp)[:, :, :hh, :ww] = g.transpose(1, 0, 2, 3)
-        # phase (a, e) of g on its own zero-led low-res grid, block 2a + e
-        lgpad = np.zeros((cout, 4, ldmax + ml), dtype=g.dtype)
-        lgf = lgpad[:, :, ldmax:]
-        lgf.reshape(cout, 2, 2, n, lhp, lwp)[..., :h, :wd] = (
-            g.reshape(n, cout, h, 2, wd, 2).transpose(1, 3, 5, 0, 2, 4))
-        gtype = np.result_type(g, dtype)
+        gt = g.transpose(1, 0, 2, 3)
+        dws = _conv_grads([(np.s_[:, :, :hs, :ws], gt)], skip, w.data[:, ca:], 1, w.requires_grad)
+        dk = _conv_grads([(at, gt[px]) for at, px in phases], x_low, k, 1, w.requires_grad)
         if w.requires_grad:
-            dw = np.empty(w.shape, dtype=gtype)
-            dws = np.zeros((9, cout, cb), dtype=gtype)
-            _tap_weight_grads(gpad[:, dmax:], _channel_major(skip.data, 1), shifts, span, dws)
-            dw[:, ca:] = dws.transpose(1, 2, 0).reshape(cout, cb, 3, 3)
-            dk = np.zeros((4, 4 * ca, cout), dtype=gtype)     # [phase][(r, s, ch), co]
-            lf = _channel_major(x_low.data, 1)
-            wbuf = np.empty((4 * ca, min(wtile, lspan) + wshifts[-1]), dtype=dtype)
-            for c0 in range(0, lspan, wtile):
-                c1 = min(c0 + wtile, lspan)
-                x4 = _windows(lf, wshifts, c0, c1 - c0 + wshifts[-1], wbuf)
-                for ph, d in enumerate(wshifts):
-                    dk[ph] += x4[:, d:d + c1 - c0] @ lgf[:, ph, c0:c1].T
-            dwu = collapse.T.astype(gtype) @ dk.reshape(16, ca * cout)
-            dw[:, :ca] = dwu.reshape(3, 3, ca, cout).transpose(3, 2, 0, 1)
-            _accum(w, dw)
-        if skip.requires_grad:
-            dsf = np.empty((cb, m), dtype=gtype)
-            _row_gemms(_kernel_rows(_flipped(w.data[:, ca:])), gpad, wp, dsf, m,
-                       _gemm_cols(cb, 3 * cout))
-            _accum(skip, dsf.reshape(cb, n, hp, wp)[:, :, 1:1 + hh, 1:1 + ww].transpose(1, 0, 2, 3))
-        if x_low.requires_grad:
-            # dX_low[:, c] = sum over phase (a, e), window tap (r, s) of
-            # k[a, e, r, s].T @ phase (a, e) of g at c - (a + r)*lwp - (e + s)
-            gshifts = [ph * (ldmax + ml) + ldmax - a - d for ph, a in enumerate(wshifts) for d in wshifts]
-            kt = k.transpose(3, 0, 1, 2).reshape(ca, 16 * cout)
-            gsrc = lgpad.reshape(cout, -1)
-            gbuf = np.empty((16 * cout, min(wtile, ml)), dtype=g.dtype)
-            dlf = np.empty((ca, ml), dtype=gtype)
-            for c0 in range(0, ml, wtile):
-                c1 = min(c0 + wtile, ml)
-                np.matmul(kt, _windows(gsrc, gshifts, c0, c1 - c0, gbuf), out=dlf[:, c0:c1])
-            _accum(x_low, dlf.reshape(ca, n, lhp, lwp)[:, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
+            dk = dk.reshape(4, cout, ca, 2, 2).transpose(0, 3, 4, 1, 2).reshape(16, cout * ca)
+            dwu = (collapse.T @ dk).reshape(3, 3, cout, ca).transpose(2, 3, 0, 1)
+            _accum(w, np.concatenate([dwu, dws], axis=1))
 
     return _result(out, (x_low, skip, w, b), bwd)
 

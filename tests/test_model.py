@@ -38,6 +38,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="depth"):
             CatUNetConfig(depth=0, input_size=64)
 
+    @pytest.mark.parametrize("key, value", [("base_channels", True), ("depth", True),
+                                            ("dropout_rate", False), ("dropout_rate", "0.5")])
+    def test_bool_or_non_number_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            small_cfg(**{key: value})
+
     def test_json_roundtrip(self):
         cfg = small_cfg(dropout_rate=0.25)
         assert CatUNetConfig.from_json(cfg.to_json()) == cfg
@@ -428,6 +434,17 @@ class TestCheckpoint:
         path = str(tmp_path / "m.catu")
         self._save_with_header_key(path, key, value)
         with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    # each of these loaded on a 1-channel model as if it held the integer
+    @pytest.mark.parametrize("key, value", [
+        ("input_channels", True), ("dropout_rate", False), ("output_channels", True),
+        ("kernel_size", 3.0), ("channel_growth", 2.0),
+    ])
+    def test_bool_or_float_in_place_of_an_integer_raises_load_error(self, tmp_path, key, value):
+        path = str(tmp_path / "m.catu")
+        self._save_with_header_key(path, key, value)
+        with pytest.raises(CheckpointError, match=key):
             load_checkpoint(path)
 
     @staticmethod

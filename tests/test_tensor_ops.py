@@ -314,6 +314,61 @@ class TestGemmShapes:
         assert seen["under the bound"] and seen["at the fallback"]
 
 
+    def test_up_concat_phase_part_runs_one_2x2_conv_with_4cout_outputs(self, monkeypatch):
+        # the stacked phase kernel is (4*cout, ca, 2, 2): 2 GEMMs per image
+        # and tile with a (4*cout, 2*ca) row matrix; each 12 px image spans
+        # 14*14 - 15 = 181 anchor columns, two tiles at TILE 100
+        gen = np.random.default_rng(11)
+        ca, cb, cout = 4, 3, 6
+        x_low = tensor(gen.uniform(0, 1, (5, ca, 12, 12)))
+        skip = tensor(gen.uniform(0, 1, (5, cb, 24, 24)))
+        w = tensor(gen.standard_normal((cout, ca + cb, 3, 3)))
+        monkeypatch.setattr(T, "TILE", 100)
+        calls = self.spy(monkeypatch)
+        with T.no_grad():
+            T.up_concat_conv2d(x_low, skip, w, tensor(np.zeros(cout)))
+        per_width = Counter()
+        for a, b in calls:
+            assert a in ((4 * cout, 2 * ca), (cout, 3 * cb))
+            if a == (4 * cout, 2 * ca):
+                per_width[b[-1]] += b[0]
+        assert per_width == {100: 2 * 5, 81: 2 * 5}
+
+    def test_up_concat_backward_gemms_stay_under_the_bound_or_at_the_fallback(self, monkeypatch):
+        # with these constants the phase part's dX falls back to TILE, and
+        # its dW and the skip part's GEMMs fit the bound in several tiles
+        monkeypatch.setattr(T, "TILE", 300)
+        monkeypatch.setattr(T, "SMALL_GEMM", 10 ** 4)
+        monkeypatch.setattr(T, "MIN_COLS", 64)
+        gen = np.random.default_rng(12)
+        ca, cb, cout = 4, 3, 6
+        x_low = tensor(gen.uniform(0, 1, (3, ca, 10, 10)))
+        skip = tensor(gen.uniform(0, 1, (3, cb, 20, 20)))
+        w = tensor(gen.standard_normal((cout, ca + cb, 3, 3)))
+        g = gen.uniform(-1, 1, (3, cout, 20, 20))
+        calls = self.spy(monkeypatch)
+        seen = Counter()
+        for part in ("dW", "dX"):
+            x_low.requires_grad = skip.requires_grad = part == "dX"
+            w.requires_grad = part == "dW"
+            out = T.up_concat_conv2d(x_low, skip, w, tensor(np.zeros(cout)))
+            calls.clear()
+            push_gradient(out, g)
+            for a, b in calls:
+                cols = a[-1] if part == "dW" else b[-1]
+                # the stacked phase kernel's rows in dW, its kernel row in dX
+                phase = a[-2] == 4 * cout if part == "dW" else a[-1] == 2 * 4 * cout
+                seen[part, "phase" if phase else "skip"] += 1
+                rows_inner = a[-2] * a[-1] * b[-1] // cols
+                if rows_inner * cols <= T.SMALL_GEMM:
+                    seen["under the bound"] += 1
+                else:
+                    assert T.SMALL_GEMM // rows_inner < T.MIN_COLS and cols <= T.TILE
+                    seen["at the fallback"] += 1
+        assert all(seen[part, side] for part in ("dW", "dX") for side in ("phase", "skip"))
+        assert seen["under the bound"] and seen["at the fallback"]
+
+
 def unfused_up_concat_conv2d(x_low, skip, w, b):
     return T.conv2d(T.concat_channels(T.upsample_nearest(x_low), skip), w, b, padding=1)
 
@@ -364,15 +419,17 @@ class TestUpConcatConv2d:
 
     def test_tiled_matches_one_tile_at_model_size(self, monkeypatch):
         # the train-48 dec2 shape at batch 4 spans several tiles of the
-        # skip part and of the phase windows; tiling only regroups float32
-        # sums, so every result stays within rounding of one tile
+        # skip part and of the phase part's input gradient; tiling only
+        # regroups float32 sums, so every result stays within rounding of
+        # one tile
         gen = np.random.default_rng(24)
         arrays = [gen.uniform(0, 1, (4, 12, 24, 24)).astype(np.float32),
                   gen.uniform(0, 1, (4, 6, 48, 48)).astype(np.float32),
                   (gen.standard_normal((6, 18, 3, 3)) * 0.1).astype(np.float32),
                   gen.uniform(-1, 1, 6).astype(np.float32)]
         g = gen.uniform(-1, 1, (4, 6, 48, 48)).astype(np.float32)
-        assert 4 * 26 * 26 > T.TILE // 4 and 4 * 50 * 50 > max(T.TILE, T._gemm_cols(6, 3 * 6))
+        assert 4 * 26 * 26 > T._gemm_cols(12, 2 * 4 * 6)
+        assert 4 * 50 * 50 > max(T.TILE, T._gemm_cols(6, 3 * 6))
         tiled = self._run(T.up_concat_conv2d, arrays, g)
         use_tiles(monkeypatch, (10 ** 6, 10 ** 12, 1))
         for got, want in zip(tiled, self._run(T.up_concat_conv2d, arrays, g)):
