@@ -156,7 +156,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = build(model_cfg, Rng(train_cfg.seed))
     _ensure_parent(args.out)
     model, report = train(model, data, train_cfg, checkpoint_path=args.out)
-    if report.best_checkpoint is None:
+    if report.best_epoch is None:
         save_checkpoint(model, args.out)  # e.g. --epochs 0
 
     stem = os.path.splitext(args.out)[0]

@@ -53,7 +53,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        problems = []
+        # bool is an int subclass; refuse True as a size, count or seed
+        problems = [f"{k} must be an integer, got {getattr(self, k)!r}"
+                    for k in ("image_size", "n_positive", "n_negative", "seed")
+                    if type(getattr(self, k)) is not int]
+        if problems:
+            raise ValueError("invalid synth config: " + "; ".join(problems))
         min_size = 2 * (LESION_RADII[1] + 2) + 1  # _lesion keeps a 2-pixel margin
         if self.image_size < min_size:
             problems.append(f"image_size must be >= {min_size}: lesion radius "
@@ -183,7 +188,6 @@ def resize_bilinear(image: np.ndarray, target: int) -> np.ndarray:
         raise ValueError(f"target size must be >= 1, got {target}")
     if (h, w) == (target, target):
         return img
-    out = np.empty((target, target), dtype=np.float32)
     ys = np.clip((np.arange(target) + 0.5) * (h / target) - 0.5, 0, h - 1)
     xs = np.clip((np.arange(target) + 0.5) * (w / target) - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)

@@ -43,6 +43,14 @@ class ThresholdConfig:
     pixel_threshold: float | None = None  # None -> Otsu per error map
 
     def __post_init__(self) -> None:
+        # bool is an int subclass; refuse True as a threshold
+        given = {"sample_threshold": self.sample_threshold}
+        if self.pixel_threshold is not None:
+            given["pixel_threshold"] = self.pixel_threshold
+        problems = [f"{k} must be a number, got {v!r}" for k, v in given.items()
+                    if isinstance(v, bool) or not isinstance(v, (int, float))]
+        if problems:
+            raise ValueError("; ".join(problems))
         # a NaN passes every comparison as False, so it would label all
         # samples Negative instead of failing
         if not (math.isfinite(self.sample_threshold) and self.sample_threshold >= 0):

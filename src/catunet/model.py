@@ -234,7 +234,11 @@ def build(config: CatUNetConfig, rng: Rng) -> CatUNetModel:
 def feature_norm(model: CatUNetModel, batch: T.Tensor) -> List[float]:
     """L2 norm of the concatenated feature map at each decoder level,
     sqrt(4 |x_low|^2 + |skip|^2) in float64: the nearest-2x upsample holds
-    each low-res pixel four times."""
+    each low-res pixel four times.
+
+    Training no longer calls it. It stays only because the name
+    `training.feature_norm` refers to it, and perfbench/tracing.py wraps
+    that name until ROADMAP item 3a retires the hook."""
     with T.no_grad():
         _, feats = model.forward(batch, training=False, return_features=True)
     return [float(np.sqrt(4 * np.square(lo.data, dtype=np.float64).sum()

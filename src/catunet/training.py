@@ -1,8 +1,7 @@
 """Positives-only reconstruction training.
 
 The loop treats every input as its own target, runs plain SGD over the
-MSE objective, reduces the learning rate on validation-loss plateaus,
-and records per-level feature norms without ever penalizing them.
+MSE objective and reduces the learning rate on validation-loss plateaus.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import write_atomic
+# feature_norm is not called here: perfbench/tracing.py:191 wraps the name
+# training.feature_norm, so it stays until ROADMAP item 3a retires that hook
 from .model import CatUNetModel, feature_norm, save_checkpoint
 from .rng import Rng
 
@@ -35,7 +36,16 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        problems = []
+        # bool is an int subclass; refuse True as a count or a rate
+        values = vars(self)
+        problems = [f"{k} must be an integer, got {values[k]!r}"
+                    for k in ("epochs", "batch_size", "patience", "seed")
+                    if type(values[k]) is not int]
+        problems += [f"{k} must be a number, got {values[k]!r}"
+                     for k in ("learning_rate", "decay_rate", "validation_fraction")
+                     if isinstance(values[k], bool) or not isinstance(values[k], (int, float))]
+        if problems:
+            raise ValueError("invalid training config: " + "; ".join(problems))
         if not 0.0 < self.decay_rate < 1.0:
             problems.append(f"decay_rate must be in (0, 1), got {self.decay_rate}")
         if self.patience < 1:
@@ -72,28 +82,22 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float
-    feature_norms: tuple[float, ...]
-
-    @property
-    def max_feature_norm(self) -> float:
-        return max(self.feature_norms) if self.feature_norms else 0.0
 
 
 @dataclass
 class TrainReport:
     records: list[EpochRecord] = field(default_factory=list)
-    best_checkpoint: str | None = None
     best_epoch: int | None = None
     best_val_loss: float = math.inf
 
-    CSV_HEADER = "epoch,train_loss,val_loss,lr,max_feature_norm"
+    CSV_HEADER = "epoch,train_loss,val_loss,lr"
 
     def to_csv(self, path: str) -> None:
         # repr() gives the shortest round-trip decimal form, so two runs
         # that produce identical floats produce identical bytes.
         write_atomic(path, "".join(
             [self.CSV_HEADER + "\n"]
-            + [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r},{r.max_feature_norm!r}\n"
+            + [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r}\n"
                for r in self.records]))
 
 
@@ -189,7 +193,6 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
     state = SchedulerState(current_lr=config.learning_rate)
     report = TrainReport()
     n_train = train_x.shape[0]
-    probe = train_x[: min(config.batch_size, n_train)]  # fixed batch for norm tracking
 
     for epoch in range(1, config.epochs + 1):
         order = shuffle.permutation(n_train)
@@ -216,21 +219,17 @@ def train(model: CatUNetModel, dataset: np.ndarray, config: TrainingConfig,
         else:
             val_loss = train_loss
 
-        norms = feature_norm(model, T.Tensor(probe))
-        max_norm = max(norms) if norms else 0.0
         report.records.append(EpochRecord(
-            epoch=epoch, train_loss=train_loss, val_loss=val_loss,
-            lr=state.current_lr, feature_norms=tuple(norms)))
+            epoch=epoch, train_loss=train_loss, val_loss=val_loss, lr=state.current_lr))
 
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
             if checkpoint_path is not None:
                 save_checkpoint(model, checkpoint_path)
-                report.best_checkpoint = checkpoint_path
 
         state = schedule_update(state, val_loss, config)
-        logger.debug("epoch %d train %.6g val %.6g lr %.3g max_norm %.4g",
-                     epoch, train_loss, val_loss, state.current_lr, max_norm)
+        logger.debug("epoch %d train %.6g val %.6g lr %.3g",
+                     epoch, train_loss, val_loss, state.current_lr)
 
     return model, report

@@ -35,7 +35,7 @@ class FullDisk:
 WRITERS = {
     "write_pgm": lambda path, v: dio.write_pgm(path, np.full((3, 4), v, dtype=np.uint8)),
     "TrainReport.to_csv": lambda path, v: TrainReport(
-        records=[EpochRecord(1, 0.5 + v, 0.25, 0.01, (1.0,))]).to_csv(path),
+        records=[EpochRecord(1, 0.5 + v, 0.25, 0.01)]).to_csv(path),
     "_echo_resolved": lambda path, v: cli._echo_resolved(
         path, CatUNetConfig(input_size=16, depth=2), TrainingConfig(epochs=1 + v), {"data": "d"}),
     "MetricsReport.write_json": lambda path, v: MetricsReport(

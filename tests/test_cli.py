@@ -88,7 +88,7 @@ class TestTrain:
         root = workspace["root"]
         assert os.path.exists(workspace["model"])
         csv = (root / "model.train.csv").read_text()
-        assert csv.startswith("epoch,train_loss,val_loss,lr,max_feature_norm")
+        assert csv.startswith("epoch,train_loss,val_loss,lr\n")
         assert len(csv.strip().splitlines()) == 2  # header + 1 epoch
         resolved = json.loads((root / "model.config.json").read_text())
         assert resolved["model"]["input_size"] == 24

@@ -394,6 +394,12 @@ class TestSynthesize:
         assert "sample counts" in message
         assert "seed" in message
 
+    @pytest.mark.parametrize("key, value", [("n_positive", True), ("seed", True),
+                                            ("image_size", 64.0), ("n_negative", 2.5)])
+    def test_bool_or_non_integer_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SynthConfig(**{key: value})
+
     def test_radius_must_fit_image(self):
         # one size rule: the largest lesion radius (7) plus _lesion's
         # 2-pixel margin must stay below half the image

@@ -84,6 +84,13 @@ class TestClassify:
         assert dx.classify(50.001, cfg) == "Negative"
         assert dx.classify(0.0, cfg) == "Positive"
 
+    @pytest.mark.parametrize("key, value", [("sample_threshold", True),
+                                            ("pixel_threshold", False),
+                                            ("sample_threshold", "50")])
+    def test_bool_or_non_number_threshold_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            dx.ThresholdConfig(**{key: value})
+
     def test_monotone_in_score(self):
         cfg = dx.ThresholdConfig(sample_threshold=12.5)
         gen = np.random.default_rng(4)

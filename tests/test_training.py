@@ -8,7 +8,7 @@ import pytest
 
 from catunet import tensor as T
 from catunet import training as tr
-from catunet.model import CatUNetConfig, build, load_checkpoint
+from catunet.model import CatUNetConfig, CatUNetModel, build, load_checkpoint
 from catunet.rng import Rng
 
 
@@ -250,7 +250,7 @@ class TestTrain:
                                    validation_fraction=0.25, seed=3)
         _, report = tr.train(net, smooth_stack(8, 8, seed=7), config,
                              checkpoint_path=path)
-        assert report.best_checkpoint == path
+        assert (tmp_path / "best.catu").exists()
         assert report.best_epoch is not None
         assert report.best_val_loss == min(r.val_loss for r in report.records)
         loaded = load_checkpoint(path)
@@ -277,7 +277,7 @@ class TestTrain:
         out = tmp_path / "report.csv"
         report.to_csv(str(out))
         lines = out.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,lr,max_feature_norm"
+        assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert len(lines) == 4
         assert lines[1].startswith("1,")
 
@@ -286,3 +286,30 @@ class TestTrain:
             tr.TrainingConfig(decay_rate=1.5, patience=0, batch_size=0)
         msg = str(err.value)
         assert "decay_rate" in msg and "patience" in msg and "batch_size" in msg
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.5), ("batch_size", 2.0), ("epochs", True), ("seed", True),
+        ("patience", 3.0), ("learning_rate", True), ("decay_rate", "0.1"),
+        ("validation_fraction", False)])
+    def test_bool_or_non_number_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tr.TrainingConfig(**{key: value})
+
+    @pytest.mark.parametrize("fraction, inference_calls", [(0.25, 3), (0.0, 0)])
+    def test_runs_no_forward_its_outputs_do_not_need(self, monkeypatch, fraction,
+                                                     inference_calls):
+        # per epoch: a training forward per train batch (6 samples or 8 at
+        # batch 4: 2) and an inference forward per validation batch (2
+        # samples: 1, or none)
+        modes = []
+        forward = CatUNetModel.forward
+
+        def spy(self, batch, training=False, **kw):
+            modes.append(training)
+            return forward(self, batch, training=training, **kw)
+
+        monkeypatch.setattr(CatUNetModel, "forward", spy)
+        tr.train(tiny_model(seed=2), smooth_stack(8, 8, seed=2),
+                 tr.TrainingConfig(epochs=3, batch_size=4, validation_fraction=fraction))
+        assert modes.count(True) == 6
+        assert modes.count(False) == inference_calls
